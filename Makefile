@@ -17,11 +17,12 @@ smoke:
 # assertions, so it is safe on loaded single-core runners), the
 # observability gate (idle-instrumentation overhead within tolerance,
 # plus the BENCH_trace_smoke.jsonl trace artifact CI uploads), the
-# linter latency gate (aggregate lint >= 2x below the bitset-accelerated
-# cold solve), the
-# kernel-equivalence gate (pure vs bitset verdicts must be identical),
-# and the incremental gate (single-std-edit deltas >= 10x faster than a
-# cold solve, with incremental == cold equivalence under both kernels)
+# linter latency gate (aggregate lint >= 2x below the cold solve), the
+# scale equivalence gate (production against the explicit oracles: both
+# pattern engines agree, trigger-set tables equal the pure automata's,
+# F1.1 verdicts equal the known answers and certify), and the
+# incremental gate (single-std-edit deltas >= 10x faster than a cold
+# solve, with incremental == cold equivalence)
 bench-smoke: smoke
 	$(PYTHON) benchmarks/bench_fig1_parallel.py --smoke
 	$(PYTHON) benchmarks/bench_obs.py --smoke

@@ -12,8 +12,7 @@ ladder of mapping sizes and journals the cold-vs-delta series into
   must be at least :data:`SPEEDUP_BAR` times faster than a cold solve;
 * **equivalence** — under random single-std edit sequences the
   incremental verdicts must be *identical* to a cold solve of the same
-  revision, under both the pure and the bitset automata kernels (the
-  correctness half: reuse may never change an answer).
+  revision (the correctness half: reuse may never change an answer).
 
 Run directly (no flags) for the full series with more edits per point.
 """
@@ -36,7 +35,6 @@ from harness import emit_json
 
 from repro.engine import CompilationCache
 from repro.incremental import IncrementalEngine
-from repro.kernel import BITSET, PURE, force_kernel
 
 #: Mean single-std-edit delta must be at least this many times faster
 #: than a cold solve at the largest ladder size.
@@ -112,31 +110,29 @@ def measure_ladder_point(n: int, edits: int) -> dict:
     return record
 
 
-def check_equivalence(kernel: str, seeds: int, edits: int) -> int:
-    """Incremental verdicts must equal cold-solve verdicts under *kernel*."""
+def check_equivalence(seeds: int, edits: int) -> int:
+    """Incremental verdicts must equal cold-solve verdicts."""
     checked = 0
-    with force_kernel(kernel):
-        for seed in range(seeds):
-            rng = random.Random(8200 + seed)
-            n = rng.choice((3, 5))
-            engine = IncrementalEngine(cache=CompilationCache())
-            variants: dict[int, int] = {}
-            for __ in range(edits + 1):
-                text = make_mapping(n, variants)
-                incremental = engine.update("equiv", text)
-                cold = IncrementalEngine(cache=CompilationCache()).update(
-                    "equiv", text
-                )
-                mine = {k: v.decision() for k, v in incremental.verdicts.items()}
-                theirs = {k: v.decision() for k, v in cold.verdicts.items()}
-                assert mine == theirs, (
-                    f"incremental != cold under {kernel} (seed {seed}): "
-                    f"{mine} vs {theirs}"
-                )
-                checked += len(mine)
-                index = rng.randrange(n)
-                variants[index] = variants.get(index, 0) + 1
-    print(f"[incremental] equivalence under {kernel}: {checked} verdicts agree")
+    for seed in range(seeds):
+        rng = random.Random(8200 + seed)
+        n = rng.choice((3, 5))
+        engine = IncrementalEngine(cache=CompilationCache())
+        variants: dict[int, int] = {}
+        for __ in range(edits + 1):
+            text = make_mapping(n, variants)
+            incremental = engine.update("equiv", text)
+            cold = IncrementalEngine(cache=CompilationCache()).update(
+                "equiv", text
+            )
+            mine = {k: v.decision() for k, v in incremental.verdicts.items()}
+            theirs = {k: v.decision() for k, v in cold.verdicts.items()}
+            assert mine == theirs, (
+                f"incremental != cold (seed {seed}): {mine} vs {theirs}"
+            )
+            checked += len(mine)
+            index = rng.randrange(n)
+            variants[index] = variants.get(index, 0) + 1
+    print(f"[incremental] equivalence: {checked} verdicts agree")
     return checked
 
 
@@ -153,8 +149,7 @@ def run_guard(smoke: bool = False, emit: bool = True, attempts: int = 3) -> int:
         )
         if gate_speedup >= SPEEDUP_BAR:
             break
-    for kernel in (PURE, BITSET):
-        check_equivalence(kernel, seeds=2 if smoke else 4, edits=3)
+    check_equivalence(seeds=2 if smoke else 4, edits=3)
     if emit:
         for n, record in records.items():
             emit_json("incremental", f"delta-n{n}", dict(
@@ -168,7 +163,6 @@ def run_guard(smoke: bool = False, emit: bool = True, attempts: int = 3) -> int:
             "speedup": gate_speedup,
             "speedup_bar": SPEEDUP_BAR,
             "ladder": list(LADDER),
-            "equivalence_kernels": [PURE, BITSET],
         })
     assert gate_speedup >= SPEEDUP_BAR, (
         f"delta speedup {gate_speedup:.1f}x at n={max(LADDER)} below the "
@@ -182,8 +176,7 @@ def run_guard(smoke: bool = False, emit: bool = True, attempts: int = 3) -> int:
 
 def test_incremental_equivalence():
     """The correctness half only — timing gates stay out of tier-1."""
-    for kernel in (PURE, BITSET):
-        check_equivalence(kernel, seeds=1, edits=2)
+    check_equivalence(seeds=1, edits=2)
 
 
 def main(argv=None) -> int:

@@ -19,8 +19,10 @@ exactly as the paper's EXPTIME bounds predict.
   set of variable-free patterns: its state at a node records which
   subpatterns are satisfied at / strictly below the node.
 * :mod:`repro.automata.bitset` — integer-encoded twins of the two
-  automata above (the ``REPRO_KERNEL=bitset`` fast path), backed by the
-  interning tables of :mod:`repro.automata.interning`.
+  automata above, backed by the interning tables of
+  :mod:`repro.automata.interning`.  They are the only automata the
+  compilation cache builds; the two above remain the differential-test
+  oracle and serve the tag-lifted satisfiability test and ``decorate``.
 """
 
 from repro.automata.duta import (

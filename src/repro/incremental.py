@@ -30,7 +30,7 @@ solve of identical content would compute.  ``Unknown`` verdicts are
 never memoized — a larger budget or a warmer cache may decide them, so
 they are re-solved each time.  Invalidation is therefore hygiene (bound
 memory, evict dead disk files), not a correctness requirement; the
-equivalence property (incremental ≡ cold, both kernels) is pinned by
+equivalence property (incremental ≡ cold) is pinned by
 ``tests/test_incremental.py`` and gated in
 ``benchmarks/bench_incremental.py --smoke``.
 

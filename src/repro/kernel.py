@@ -1,109 +1,17 @@
-"""Kernel selection: pure-Python oracle vs bitset fast path.
+"""The pattern-engine size cutover.
 
-Two independent surfaces carry a vectorized "bitset" implementation next
-to the original pure-Python one:
-
-* **automata** — the closure/DTD automata and their product emptiness
-  check encode states as machine integers (bit-packed subpattern sets,
-  dense DFA state ids) instead of frozensets of tuples;
-* **pattern-engine** — large documents are evaluated over a contiguous
-  array layout (preorder arrays of label ids) instead of linked
-  ``TreeNode`` objects.
-
-The pure path is the semantic reference: both kernels decide the same
-relations, and the differential tests (``tests/test_kernels.py``) hold
-them to byte-identical verdicts.  Selection is automatic by input size;
-``REPRO_KERNEL=pure`` or ``REPRO_KERNEL=bitset`` forces one side
-everywhere (the CI matrix runs the whole suite under ``bitset`` once).
-Every decision increments ``repro_kernel_selected_total`` so ``--stats``
-shows which kernels actually ran.
+The automata have one production implementation (the bitset automata of
+:mod:`repro.automata.bitset`); the pure automata survive only as the
+differential-test oracle.  The pattern engine still has two: documents
+below the cutover get the object :class:`~repro.patterns.matching.PatternEngine`
+(whose index the tests inspect), larger ones the array-backed
+:class:`~repro.patterns.compact.CompactPatternEngine`.  Selection is by
+node count alone.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-from repro.obs import REGISTRY
-
-#: Environment override: ``pure`` or ``bitset`` (anything else → auto).
-KERNEL_ENV = "REPRO_KERNEL"
-
-PURE = "pure"
-BITSET = "bitset"
-
-#: Automatic thresholds per surface: below the size, the pure path is
-#: used (its constant factors win and it doubles as the oracle on the
-#: inputs the tests exercise); at or above it, the bitset path runs.
-#: "Size" is surface-specific — subpatterns+labels for automata, node
-#: count for the pattern engine.
+#: Size cutovers per surface; ``"pattern-engine"`` is a node count.
 AUTO_THRESHOLDS = {
-    "automata": 16,
     "pattern-engine": 32768,
 }
-
-#: When a kernel is *forced*, tiny inputs still keep the pure engine on
-#: the pattern surface: the object engine is part of the public API
-#: surface (tests poke at its index), and sub-floor trees gain nothing.
-FORCED_BITSET_FLOORS = {
-    "automata": 0,
-    "pattern-engine": 512,
-}
-
-_SELECTED = REGISTRY.counter(
-    "repro_kernel_selected_total",
-    "Kernel selections by surface (automata / pattern-engine)",
-    ("kernel", "surface"),
-)
-
-#: Programmatic override stack (stronger than the environment); used by
-#: benchmarks and tests to pin a kernel without mutating ``os.environ``.
-_FORCED: list[str] = []
-
-
-def kernel_override() -> str | None:
-    """The forced kernel, or None for automatic selection.
-
-    Reads the innermost :func:`force_kernel` frame first, then
-    ``REPRO_KERNEL``; unknown values are ignored (auto) rather than
-    fatal, so a typo degrades to the default instead of crashing.
-    """
-    if _FORCED:
-        forced = _FORCED[-1]
-        return forced if forced else None  # "" = forced-auto (masks the env)
-    raw = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if raw in (PURE, BITSET):
-        return raw
-    return None
-
-
-@contextmanager
-def force_kernel(kernel: str | None) -> Iterator[None]:
-    """Pin kernel selection within the block (None restores auto)."""
-    if kernel is not None and kernel not in (PURE, BITSET):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    _FORCED.append(kernel if kernel is not None else "")
-    try:
-        yield
-    finally:
-        _FORCED.pop()
-
-
-def select_kernel(surface: str, size: int) -> str:
-    """The kernel to run *surface* with, for an input of the given *size*.
-
-    The decision (override or size threshold) is recorded in the
-    ``repro_kernel_selected_total`` metric.
-    """
-    forced = kernel_override()
-    if forced == PURE:
-        kernel = PURE
-    elif forced == BITSET:
-        floor = FORCED_BITSET_FLOORS.get(surface, 0)
-        kernel = BITSET if size >= floor else PURE
-    else:
-        threshold = AUTO_THRESHOLDS.get(surface)
-        kernel = BITSET if threshold is not None and size >= threshold else PURE
-    _SELECTED.labels(kernel=kernel, surface=surface).inc()
-    return kernel

@@ -1,7 +1,7 @@
 """The compact pattern engine: array-backed evaluation on large documents.
 
-This is the pattern-engine half of the bitset kernel
-(:mod:`repro.kernel`).  It evaluates exactly the same relation
+Documents at or above the node-count cutover of :mod:`repro.kernel` are
+evaluated here.  The engine computes exactly the same relation
 ``(T, v) |= pi(a)`` as :class:`~repro.patterns.matching.PatternEngine` —
 same hash joins, same semi-join projection, same memoization contract —
 but every node is a *preorder position* into the contiguous arrays of a

@@ -36,6 +36,7 @@ from __future__ import annotations
 import time
 
 from repro.errors import XsmError
+from repro.kernel import AUTO_THRESHOLDS
 from repro.obs import REGISTRY, trace
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence, _term_vars
 from repro.patterns.index import EngineStats, TreeIndex
@@ -411,7 +412,7 @@ def hash_join(
 def _size_hint(root: TreeNode, limit: int) -> int:
     """Node count of *root*, counted only far enough to clear *limit*.
 
-    Kernel selection needs "bigger than the threshold?", not the exact
+    Engine selection needs "bigger than the threshold?", not the exact
     size, so the walk stops as soon as the answer is known — tiny trees
     pay a full (cheap) count, huge trees pay O(limit).
     """
@@ -433,18 +434,16 @@ def engine_for(root: TreeNode) -> PatternEngine:
     index and memo tables never go stale, and they are released together
     with the tree object.  Large documents get the array-backed
     :class:`~repro.patterns.compact.CompactPatternEngine` (same public
-    surface, positional internals); the cutover — and the
-    ``REPRO_KERNEL`` override — lives in :mod:`repro.kernel`.
+    surface, positional internals); the node-count cutover lives in
+    :mod:`repro.kernel`.
     """
-    from repro.kernel import AUTO_THRESHOLDS, BITSET, select_kernel
-
     engine = getattr(root, "_engine", None)
     if engine is None:
         threshold = AUTO_THRESHOLDS["pattern-engine"]
-        kernel = select_kernel("pattern-engine", _size_hint(root, threshold))
+        compact = _size_hint(root, threshold) >= threshold
         started = time.perf_counter()
         with trace("pattern-engine-build"):
-            if kernel == BITSET:
+            if compact:
                 from repro.patterns.compact import CompactPatternEngine
 
                 engine = CompactPatternEngine(root)

@@ -56,13 +56,11 @@ def structural_witness(
     # depends on repro.patterns.ast, so top-level imports would be circular
     from repro.automata.duta import ProductAutomaton, find_accepted
     from repro.engine.budget import resolve_context
-    from repro.engine.cache import automata_size, closure_automaton, dtd_automaton
-    from repro.kernel import select_kernel
+    from repro.engine.cache import closure_automaton, dtd_automaton
 
     extra = frozenset(pattern.labels_used())
-    kernel = select_kernel("automata", automata_size(dtd, [pattern]))
-    closure = closure_automaton([pattern], dtd, extra, context=context, kernel=kernel)
-    conformance = dtd_automaton(dtd, extra, context=context, kernel=kernel)
+    closure = closure_automaton([pattern], dtd, extra, context=context)
+    conformance = dtd_automaton(dtd, extra, context=context)
     product = ProductAutomaton(
         [conformance, closure],
         predicate=lambda state: (

@@ -46,8 +46,7 @@ def find_separating_tree(
     # depends on repro.patterns.ast, so top-level imports would be circular
     from repro.automata.duta import ProductAutomaton, find_accepted
     from repro.engine.budget import resolve_context
-    from repro.engine.cache import automata_size, closure_automaton, dtd_automaton
-    from repro.kernel import select_kernel
+    from repro.engine.cache import closure_automaton, dtd_automaton
 
     positives = list(positives)
     negatives = list(negatives)
@@ -55,9 +54,8 @@ def find_separating_tree(
     extra = frozenset(
         label for pattern in patterns for label in pattern.labels_used()
     )
-    kernel = select_kernel("automata", automata_size(dtd, patterns))
-    closure = closure_automaton(patterns, dtd, extra, context=context, kernel=kernel)
-    conformance = dtd_automaton(dtd, extra, context=context, kernel=kernel)
+    closure = closure_automaton(patterns, dtd, extra, context=context)
+    conformance = dtd_automaton(dtd, extra, context=context)
 
     def separated(state) -> bool:
         if not conformance.is_accepting(state[0]):

@@ -40,13 +40,16 @@ so they stay responsive exactly when the daemon is saturated — the
 moment you need them.
 
 Error mapping: malformed JSON or an unknown route is 400/404; a request
-the session rejects (``RequestError``) is 400; any other ``XsmError``
-comes back 200 with ``ok=false`` in the body (the request was served,
-the *mapping* was bad) — exactly the dict the CLI adapter renders.
+the session rejects (``RequestError``) is 400; an ``InternalError`` (an
+exception the session caught as a last resort) is 500; any other
+``XsmError`` comes back 200 with ``ok=false`` in the body (the request
+was served, the *mapping* was bad) — exactly the dict the CLI adapter
+renders.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -71,6 +74,10 @@ _QUEUED = REGISTRY.gauge(
 
 #: Largest accepted request body — admission control for memory, not CPU.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: HTTP status per session error type; any other failure is a served
+#: request with a bad mapping (200 with ``ok=false``).
+_ERROR_STATUS = {"RequestError": 400, "InternalError": 500}
 
 
 class _Admission:
@@ -144,18 +151,31 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send(self, status: int, payload: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+    def _send(self, status: int, payload: bytes, content_type: str,
+              headers: dict[str, str] | None = None) -> None:
+        # headers and body leave in one write: sent as two segments, the
+        # body waits out Nagle + the client's delayed ACK (~40 ms) on a
+        # keep-alive connection, so the header block is rendered first
+        wfile, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wfile
+        self.wfile.write(head + payload)
 
-    def _send_json(self, status: int, body: dict) -> None:
+    def _send_json(self, status: int, body: dict,
+                   headers: dict[str, str] | None = None) -> None:
         self._send(
             status,
             json.dumps(body).encode(),
             "application/json; charset=utf-8",
+            headers,
         )
 
     def _send_text(self, status: int, text: str) -> None:
@@ -260,16 +280,10 @@ class _Handler(BaseHTTPRequestHandler):
         admission = self.server.admission
         if not admission.try_enter():
             _REJECTED.labels(reason="saturated").inc()
-            self.send_response(429)
-            self.send_header("Retry-After", "1")
-            payload = json.dumps({"error": {
+            self._send_json(429, {"error": {
                 "type": "Saturated",
                 "message": "server at capacity; retry with backoff",
-            }}).encode()
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            }}, headers={"Retry-After": "1"})
             return
         started = False
         try:
@@ -289,7 +303,7 @@ class _Handler(BaseHTTPRequestHandler):
             started = True
             response = self.server.session.handle(command, request)
             error_type = (response.get("error") or {}).get("type")
-            status = 400 if error_type == "RequestError" else 200
+            status = _ERROR_STATUS.get(error_type, 200)
             self._send_json(status, response)
         except RequestError as error:
             self._send_json(400, {"error": {"type": "RequestError",

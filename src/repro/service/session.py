@@ -36,7 +36,9 @@ library use.  Every request gets
 Handlers never raise for malformed input or mapping errors: failures
 come back as ``{"ok": False, "error": {...}, "exit_code": 3}`` so the
 daemon can map them to HTTP statuses and the CLI to exit codes without
-a second error path.
+a second error path.  Any other exception (a bug, or a ``RecursionError``
+on pathologically nested input) becomes an ``InternalError`` carrying
+the request's trace ID, counted and recorded like every other failure.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import itertools
 import os
 import threading
 import time
+import traceback
 from collections import Counter
 from dataclasses import fields as dataclass_fields
 from typing import Any, Callable
@@ -86,6 +89,10 @@ _REQUEST_LATENCY = REGISTRY.histogram(
     "Wall-clock seconds per service-layer request, by command",
     ("command",),
 )
+
+#: Innermost frames of an internal error's traceback kept in its
+#: flight record (a RecursionError's stack would be thousands deep).
+_TRACEBACK_FRAMES = 16
 
 #: Budget fields a request may override via ``request["budget"]``.
 _BUDGET_FIELDS = frozenset(f.name for f in dataclass_fields(Budget))
@@ -287,6 +294,7 @@ class EngineSession:
             "command": command, "request_id": request_id, "trace_id": trace_id,
         }
         outcome = "ok"
+        failure = None
         started = time.perf_counter()
         tree = None
         try:
@@ -312,6 +320,15 @@ class EngineSession:
                 "type": type(error).__name__, "message": str(error)
             }
             response["exit_code"] = 3
+        except Exception as error:  # last resort: no raw exception escapes
+            outcome = "error"
+            failure = traceback.format_exc(limit=-_TRACEBACK_FRAMES)
+            response["error"] = {
+                "type": "InternalError",
+                "message": f"{type(error).__name__}: {error}",
+                "trace_id": trace_id,
+            }
+            response["exit_code"] = 3
         elapsed = time.perf_counter() - started
         response["ok"] = outcome == "ok"
         response["elapsed"] = elapsed
@@ -333,6 +350,7 @@ class EngineSession:
                 trace=tree_dict,
                 request_id=request_id,
                 exit_code=response.get("exit_code"),
+                traceback=failure,
                 **_trace_rollup(tree_dict),
             )
         return response

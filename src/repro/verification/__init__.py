@@ -14,6 +14,7 @@ from repro.verification.enumeration import (
     enumerate_trees,
 )
 from repro.verification.oracle import (
+    oracle_achievable_sets,
     oracle_composition_contains,
     oracle_counterexample,
     oracle_has_solution,
@@ -26,6 +27,7 @@ __all__ = [
     "enumerate_label_trees",
     "enumerate_trees",
     "count_trees",
+    "oracle_achievable_sets",
     "oracle_has_solution",
     "oracle_solutions",
     "oracle_is_consistent",

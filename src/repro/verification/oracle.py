@@ -12,6 +12,12 @@ semi-join mode, which makes it the reference both for the randomized
 equivalence tests and for the before/after series of
 ``benchmarks/bench_matching_engine.py``.
 
+It also keeps the **pure-automata reference** for the achievable
+trigger-set tables: production compiles only the bitset automata, and
+:func:`oracle_achievable_sets` recomputes the same table on the pure
+:class:`~repro.automata.dtd_automaton.DTDAutomaton` and
+:class:`~repro.automata.pattern_automaton.PatternClosureAutomaton`.
+
 Domain guidance (used throughout the test suite):
 
 * consistency without data comparisons — a single value ``(0,)`` suffices
@@ -25,6 +31,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.automata.dtd_automaton import DTDAutomaton
+from repro.automata.duta import ProductAutomaton, reachable_states
+from repro.automata.pattern_automaton import PatternClosureAutomaton
 from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import SolutionChecker, is_solution
@@ -32,6 +41,7 @@ from repro.mappings.skolem import SkolemSolutionChecker, is_skolem_solution
 from repro.patterns.ast import WILDCARD, Descendant, Pattern
 from repro.values import Const, SkolemTerm, Var
 from repro.verification.enumeration import enumerate_trees
+from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 
 
@@ -194,6 +204,41 @@ def naive_evaluate(pattern: Pattern, root: TreeNode) -> set[tuple]:
         tuple(valuation[var] for var in variables)
         for valuation in naive_find_matches(pattern, root)
     }
+
+
+# ---------------------------------------------------------------------------
+# The pure-automata reference for the achievable trigger sets
+# ---------------------------------------------------------------------------
+
+
+def oracle_achievable_sets(
+    dtd: DTD,
+    patterns: Iterable[Pattern],
+    extra_labels: frozenset[str] = frozenset(),
+) -> dict[frozenset[int], TreeNode]:
+    """:func:`repro.engine.cache.achievable_sets` on the pure automata.
+
+    The same product and pruning, but over :class:`DTDAutomaton` x
+    :class:`PatternClosureAutomaton` and uncached: the reference the
+    production (bitset) table is compared against.
+    """
+    patterns = tuple(patterns)
+    conformance = DTDAutomaton(dtd, extra_labels)
+    closure = PatternClosureAutomaton(
+        patterns,
+        extra_labels=dtd.labels | frozenset(extra_labels),
+        arity_of=dtd.arity,
+    )
+    realized = reachable_states(
+        ProductAutomaton([conformance, closure]),
+        prune=lambda state: not conformance.state_ok(state[0]),
+        prune_horizontal=lambda label, h: conformance.horizontal_dead(h[0]),
+    )
+    sets: dict[frozenset[int], TreeNode] = {}
+    for state, witness in realized.items():
+        if conformance.is_accepting(state[0]):
+            sets.setdefault(closure.trigger_set(state[1]), witness)
+    return sets
 
 
 # ---------------------------------------------------------------------------

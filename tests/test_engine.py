@@ -126,11 +126,10 @@ class TestCompilationCache:
         again = dtd_automaton(dtd2, context=context)
         assert again is first
         stats = context.cache.stats()
-        # building the automaton compiles one production DFA per label with
-        # a production (r, a) plus the automaton itself: 3 misses, then the
-        # second call is a single hit
+        # the automaton (which compiles its production DFAs inline) is one
+        # miss, then the second call is a single hit
         assert stats["hits"] == 1
-        assert stats["misses"] == 3
+        assert stats["misses"] == 1
         assert stats["evictions"] == 0
 
     def test_different_content_misses(self):

@@ -1,7 +1,7 @@
 """Tests for auto-repair: redundancy analysis, certified quick-fixes,
 baseline suppression and SARIF export.
 
-The heart is the randomized round-trip property (both kernels): every
+The heart is the randomized round-trip property: every
 fix the engine offers must survive independent re-verification —
 apply → the fixed code's count strictly drops, no new error code
 appears, and ``solve()`` consistency does not regress (identical
@@ -36,7 +36,6 @@ from repro.analysis.fixes import PRESERVING, RELAXING, Fix, StdEdit, std_line_nu
 from repro.cli import main
 from repro.engine import ConsistencyProblem, solve
 from repro.errors import XsmError
-from repro.kernel import BITSET, PURE, force_kernel
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import parse_std
 
@@ -347,7 +346,7 @@ class TestVerificationGate:
 
 
 # ---------------------------------------------------------------------------
-# the randomized round-trip property (both kernels)
+# the randomized round-trip property
 # ---------------------------------------------------------------------------
 
 SOURCE_DTD = "r -> a* c*\na(x)\nc(y, z)"
@@ -375,66 +374,62 @@ def _broken_mapping(rng):
     return SchemaMapping.parse(SOURCE_DTD, TARGET_DTD, stds)
 
 
-@pytest.mark.parametrize("kernel", [PURE, BITSET])
-def test_random_fixes_round_trip(kernel):
+def test_random_fixes_round_trip():
     """apply → re-lint improves → solve() non-regression, per fix."""
-    with force_kernel(kernel):
-        rng = random.Random(20260809)
-        for __ in range(10):
-            mapping = _broken_mapping(rng)
-            report, fixes = fix_mapping(mapping)
-            before = solve(ConsistencyProblem(mapping))
-            for fix in fixes:
-                assert fix.verified
-                repaired = fix.apply(mapping)
-                after_report = lint_mapping(repaired)
-                # the fixed code's count strictly drops
-                assert len(after_report.by_code(fix.code)) < len(
-                    report.by_code(fix.code)
-                )
-                # no new error code appears
-                assert not (
-                    {d.code for d in after_report.errors}
-                    - {d.code for d in report.errors}
-                )
-                after = solve(ConsistencyProblem(repaired))
-                rank = {"refuted": 0, "unknown": 1, "proved": 2}
+    rng = random.Random(20260809)
+    for __ in range(10):
+        mapping = _broken_mapping(rng)
+        report, fixes = fix_mapping(mapping)
+        before = solve(ConsistencyProblem(mapping))
+        for fix in fixes:
+            assert fix.verified
+            repaired = fix.apply(mapping)
+            after_report = lint_mapping(repaired)
+            # the fixed code's count strictly drops
+            assert len(after_report.by_code(fix.code)) < len(
+                report.by_code(fix.code)
+            )
+            # no new error code appears
+            assert not (
+                {d.code for d in after_report.errors}
+                - {d.code for d in report.errors}
+            )
+            after = solve(ConsistencyProblem(repaired))
+            rank = {"refuted": 0, "unknown": 1, "proved": 2}
 
-                def level(verdict):
-                    if verdict.is_refuted:
-                        return rank["refuted"]
-                    if verdict.is_unknown:
-                        return rank["unknown"]
-                    return rank["proved"]
+            def level(verdict):
+                if verdict.is_refuted:
+                    return rank["refuted"]
+                if verdict.is_unknown:
+                    return rank["unknown"]
+                return rank["proved"]
 
-                assert level(after) >= level(before)
-                if fix.safety == PRESERVING and not (
-                    before.is_unknown or after.is_unknown
-                ):
-                    # preserving fixes keep the consistency decision
-                    assert after.decision() == before.decision()
+            assert level(after) >= level(before)
+            if fix.safety == PRESERVING and not (
+                before.is_unknown or after.is_unknown
+            ):
+                # preserving fixes keep the consistency decision
+                assert after.decision() == before.decision()
 
 
-@pytest.mark.parametrize("kernel", [PURE, BITSET])
-def test_fix_loop_converges_on_seeded_breakage(kernel):
+def test_fix_loop_converges_on_seeded_breakage():
     """The repro-fix iteration (select → apply → re-lint) reaches a
     state with no error-severity fixable diagnostics."""
-    with force_kernel(kernel):
-        rng = random.Random(7)
-        mapping = _broken_mapping(rng)
-        for __ in range(8):
-            report, fixes = fix_mapping(mapping)
-            selected = select_compatible(fixes)
-            if not selected:
-                break
-            edits = [edit for fix in selected for edit in fix.edits]
-            combined = Fix(
-                selected[0].code, "batch", tuple(edits),
-                selected[0].location, RELAXING,
-            )
-            mapping = combined.apply(mapping)
-        final = lint_mapping(mapping)
-        assert not final.errors
+    rng = random.Random(7)
+    mapping = _broken_mapping(rng)
+    for __ in range(8):
+        report, fixes = fix_mapping(mapping)
+        selected = select_compatible(fixes)
+        if not selected:
+            break
+        edits = [edit for fix in selected for edit in fix.edits]
+        combined = Fix(
+            selected[0].code, "batch", tuple(edits),
+            selected[0].location, RELAXING,
+        )
+        mapping = combined.apply(mapping)
+    final = lint_mapping(mapping)
+    assert not final.errors
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The load-bearing property is at the bottom: under random single-std
 edits, the incremental engine's verdicts must be *identical* to a cold
-solve of the same revision — under both automata kernels.  Everything
+solve of the same revision.  Everything
 above it pins the machinery that makes the property cheap: cone
 computation, two-tier eviction, memo registration and the file watcher.
 """
@@ -28,7 +28,6 @@ from repro.incremental import (
     diff_fingerprints,
     fingerprint_mapping,
 )
-from repro.kernel import BITSET, PURE, force_kernel
 from repro.mappings.io import parse_mapping
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
@@ -139,6 +138,30 @@ def test_cache_evict_reports_tiers(tmp_path):
     dropped = cache.evict(("kind", "x"))
     assert dropped == {"memory": True, "disk": True}
     assert cache.evict(("kind", "x")) == {"memory": False, "disk": False}
+
+
+def test_lru_eviction_without_disk_tier_forgets_the_graph_node():
+    """Without a disk tier an evicted artifact is gone for good, so the
+    dependency graph must not keep it (it grew without bound before)."""
+    cache = CompilationCache(max_entries=4)
+    for index in range(50):
+        cache.lookup(("kind", index), lambda: index, deps={f"input:{index}"})
+    assert len(cache) == 4
+    assert len(cache.depgraph) == 4
+    assert cache.depgraph.stats()["inputs"] == 4
+    assert cache.invalidate({"input:0"})["artifacts"] == 0
+    assert cache.invalidate({"input:49"})["memory"] == 1
+
+
+def test_lru_eviction_with_disk_tier_keeps_the_graph_node(tmp_path):
+    """With a disk tier an evicted artifact can come back from disk, so it
+    stays reachable by a later invalidation."""
+    cache = CompilationCache(max_entries=4, disk=DiskCacheTier(tmp_path))
+    for index in range(10):
+        cache.lookup(("kind", index), lambda: index, deps={f"input:{index}"})
+    assert len(cache) == 4
+    assert len(cache.depgraph) == 10
+    assert cache.invalidate({"input:0"}) == {"artifacts": 1, "memory": 0, "disk": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +311,7 @@ def test_filewatcher_tolerates_missing_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the property: incremental == cold, both kernels
+# the property: incremental == cold
 # ---------------------------------------------------------------------------
 
 
@@ -307,17 +330,15 @@ def _mutate_one_std(rng: random.Random, mapping: SchemaMapping) -> SchemaMapping
     return SchemaMapping(mapping.source_dtd, mapping.target_dtd, stds)
 
 
-@pytest.mark.parametrize("kernel", [PURE, BITSET])
 @pytest.mark.parametrize("seed", range(4))
-def test_incremental_verdicts_equal_cold_solve(kernel, seed):
+def test_incremental_verdicts_equal_cold_solve(seed):
     rng = random.Random(5000 + seed)
     mapping = random_structural_mapping(rng)
     engine = IncrementalEngine(cache=CompilationCache())
-    with force_kernel(kernel):
-        for __ in range(3):
-            incremental = engine.update("m", mapping)
-            cold = IncrementalEngine(cache=CompilationCache()).update("m", mapping)
-            assert _decisions(incremental) == _decisions(cold), (
-                f"incremental and cold verdicts diverged under {kernel}"
-            )
-            mapping = _mutate_one_std(rng, mapping)
+    for __ in range(3):
+        incremental = engine.update("m", mapping)
+        cold = IncrementalEngine(cache=CompilationCache()).update("m", mapping)
+        assert _decisions(incremental) == _decisions(cold), (
+            "incremental and cold verdicts diverged"
+        )
+        mapping = _mutate_one_std(rng, mapping)

@@ -41,6 +41,22 @@ target:
 std: f[a(x)] -> w[b(x)]
 """
 
+#: A std pattern nested 2000 deep: parsing it overflows the interpreter
+#: stack, the shape of failure no XsmError covers.
+DEEP_MAPPING_TEXT = (
+    "source:\n    r -> a*\n    a -> a*\ntarget:\n    t -> b*\n"
+    "std: r" + "[a" * 2000 + "]" * 2000 + " -> t[b]\n"
+)
+
+
+def _requests_total(command: str, outcome: str) -> float:
+    from repro.obs import parse_prometheus
+
+    series = parse_prometheus(REGISTRY.render_prometheus())
+    return series.get(
+        f'repro_requests_total{{command="{command}",outcome="{outcome}"}}', 0.0
+    )
+
 
 # ---------------------------------------------------------------------------
 # EngineSession: the shared request/response code path
@@ -75,6 +91,24 @@ class TestEngineSession:
         assert response["ok"] is False
         assert response["exit_code"] == 3
         assert response["error"]["type"] == "ParseError"
+
+    def test_unexpected_exception_is_an_internal_error_envelope(self):
+        session = EngineSession()
+        errors_before = _requests_total("check", "error")
+        response = session.check({"mappings": [DEEP_MAPPING_TEXT]})
+        assert response["ok"] is False
+        assert response["exit_code"] == 3
+        error = response["error"]
+        assert error["type"] == "InternalError"
+        assert "RecursionError" in error["message"]
+        assert error["trace_id"] == response["trace_id"]
+        assert _requests_total("check", "error") == errors_before + 1
+        record = session.debug_request(response["trace_id"])
+        assert record is not None and record["status"] == "error"
+        assert "RecursionError" in record["traceback"]
+        # the session keeps serving after the failure
+        ok = session.check({"mappings": [MAPPING_TEXT]})
+        assert ok["ok"] is True
 
     def test_bad_request_shapes_are_rejected(self):
         session = EngineSession()
@@ -246,6 +280,45 @@ class TestServiceServer:
     def test_request_error_maps_to_400(self, server):
         response = call_service(server.url, "check", {})
         assert response["error"]["type"] == "RequestError"
+
+    def test_internal_error_maps_to_500(self, server):
+        import urllib.error
+        import urllib.request
+
+        body = json.dumps({"mappings": [DEEP_MAPPING_TEXT]}).encode()
+        request = urllib.request.Request(f"{server.url}/check", data=body)
+        with pytest.raises(urllib.error.HTTPError) as raised:
+            urllib.request.urlopen(request, timeout=30.0)
+        assert raised.value.code == 500
+        response = json.loads(raised.value.read())
+        assert response["error"]["type"] == "InternalError"
+        trace = json.loads(
+            fetch_text(server.url, f"debug/requests/{response['trace_id']}")
+        )
+        assert trace["status"] == "error"
+
+    def test_keep_alive_responses_do_not_stall(self, server):
+        """Headers and body leave in one write, so sequential requests on
+        one keep-alive connection never wait out Nagle + delayed ACK
+        (about 40 ms each when a response is split in two segments)."""
+        import http.client
+
+        n = 20
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for index in range(n):
+                if index % 2:
+                    connection.request("GET", "/healthz")
+                else:
+                    connection.request("POST", "/stats", body=b"{}")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < n * 0.040 / 4, f"{n} keep-alive requests took {elapsed:.3f}s"
 
     def test_unknown_route_is_404(self, server):
         response = call_service(server.url, "no-such-command", {})
