@@ -9,9 +9,11 @@ override with ``REPRO_OBS_TOLERANCE``).  Timings take the min over
 several runs and the comparison retries before failing, so a loaded CI
 runner gets the benefit of the doubt but a real regression does not.
 
-``--smoke`` runs the guard at reduced size, then a traced ``jobs=2``
+``--smoke`` runs the guards at reduced size, then a traced ``jobs=2``
 batch whose merged span log is written to ``BENCH_trace_smoke.jsonl``
 (the artifact CI uploads) and whose Prometheus export must parse clean.
+Every check runs and prints its result even when an earlier one fails;
+the exit status is 1 if any failed.
 
 Run directly (``python benchmarks/bench_obs.py``) for the full guard.
 """
@@ -312,19 +314,21 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="reduced-size guard + trace artifact for CI")
     args = parser.parse_args(argv)
-    try:
-        if args.smoke:
-            run_overhead_guard(scale=2, repeats=3)
-            run_session_overhead_guard(scale=2, repeats=3)
-            run_flight_overhead_guard(scale=2, repeats=3)
-            return run_trace_smoke()
-        run_overhead_guard()
-        run_session_overhead_guard()
-        run_flight_overhead_guard()
-        return run_trace_smoke()
-    except AssertionError as error:
-        print(f"FAIL: {error}")
-        return 1
+    size = {"scale": 2, "repeats": 3} if args.smoke else {}
+    failed = []
+    for guard in (
+        run_overhead_guard, run_session_overhead_guard, run_flight_overhead_guard
+    ):
+        try:
+            guard(**size)
+        except AssertionError as error:
+            print(f"FAIL: {error}")
+            failed.append(guard.__name__)
+    if run_trace_smoke():
+        failed.append(run_trace_smoke.__name__)
+    if failed:
+        print(f"FAIL: {len(failed)} of 4 checks failed: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

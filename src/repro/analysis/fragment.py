@@ -1,18 +1,13 @@
 """Fragment classification and Figure 1–2 complexity-cell prediction.
 
-``engine.solve`` selects an algorithm from the problem type plus the
-mapping's ``SM(σ)`` fragment and DTD classification.  This module makes
-that selection *static*: :func:`predict_for_problem` (and the per-problem
-``predict_*`` functions) compute, without running any solver, which
-algorithm the engine will route to, the paper's complexity cell for it,
-and whether the route is exact or a sound-but-bounded approximation.
-
-The predicates here are the single source of truth — the engine's
-routing functions consult them (see ``repro.engine.core``), so the
-linter's predictions cannot drift from the solver's behaviour.  The only
-divergence left is dynamic: a route that *starts* exact can still
-overflow a budget at run time and fall back (e.g. ``abscons-expansion``
-exceeding its expansion limit), which no static analysis can foresee.
+The paper's Figures 1–2 are a routing table: the ``SM(σ)`` fragment and
+the DTD class pick each problem's algorithm.  :func:`classify` works it
+out once per mapping (memoized on the mapping), and every consumer reads
+that one classification: the ``predict_*`` functions, the engine's
+routes, the linter's ``fragment_pass`` and the solvers' class
+preconditions (:func:`require`) — so the linter cannot drift from the
+solver.  The only divergence left is dynamic: ``abscons-expansion`` can
+overflow its expansion limit and fall back to ``abscons-bounded``.
 """
 
 from __future__ import annotations
@@ -20,14 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.cache import dtd_classification
-from repro.patterns.ast import Descendant, Pattern, Sequence
-from repro.patterns.features import HORIZONTAL, INEQUALITY, is_fully_specified
+from repro.engine.cache import DTDClassification, dtd_classification
+from repro.errors import SignatureError
+from repro.patterns.features import (
+    HORIZONTAL,
+    INEQUALITY,
+    axes_of,
+    is_fully_specified,
+)
 from repro.values import Const
 
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
-    from repro.mappings.mapping import SchemaMapping
+    from repro.mappings.mapping import SchemaMapping, Signature
 
 
 @dataclass(frozen=True)
@@ -61,127 +61,214 @@ class CellPrediction:
         )
 
 
+#: The Figure 1–2 cells, by engine route:
+#: ``(problem, complexity, exact, routing reason)``.
+_CELLS = {
+    "cons-nested": (
+        "CONS", "PTIME (Fact 5.1)", True,
+        "SM(⇓) over nested-relational DTDs: PTIME via the minimal tree "
+        "(Fact 5.1)"),
+    "cons-automata": (
+        "CONS", "EXPTIME-complete (Theorem 5.2)", True,
+        "no data comparisons or constants: exact trigger-set automata "
+        "(Theorem 5.2, EXPTIME)"),
+    "cons-bounded": (
+        "CONS", "undecidable in general (Theorems 5.4/5.5)", False,
+        "data comparisons or constants: sound bounded witness search only "
+        "(Theorems 5.4/5.5)"),
+    "abscons-sm0": (
+        "ABSCONS", "EXPTIME (Proposition 6.1)", True,
+        "value-free SM° mapping: exact trigger-set coverage (Proposition 6.1)"),
+    "abscons-ptime": (
+        "ABSCONS", "PTIME (Theorem 6.3)", True,
+        "nested-relational + fully specified: exact rigidity analysis "
+        "(Theorem 6.3, PTIME)"),
+    "abscons-expansion": (
+        "ABSCONS", "NEXPTIME (source expansion + Theorem 6.3 analysis)", True,
+        "⇓-sources over non-recursive DTDs: exact via source expansion + "
+        "rigidity analysis"),
+    "abscons-bounded": (
+        "ABSCONS", "EXPSPACE upper bound (Theorem 6.2), construction "
+        "unpublished", False,
+        "outside every exact class: sound bounded refutation (Theorem 6.2 "
+        "gives EXPSPACE, construction unpublished)"),
+    "membership-skolem": (
+        "MEMBERSHIP", "NP combined complexity (Section 8 valuations)", True,
+        "Skolem stds: backtracking valuation of the shared unknowns "
+        "(Section 8)"),
+    "membership": (
+        "MEMBERSHIP", "PTIME data complexity, NP-complete combined "
+        "(Theorem 4.4)", True,
+        "plain stds: conformance plus per-obligation semi-joins "
+        "(Definition 3.2)"),
+    "composition-exact": (
+        "COMPOSITION-MEMBERSHIP", "NP combined complexity via the composed "
+        "Skolem mapping (Theorem 8.2)", True,
+        "Theorem 8.2 class: membership via the composed Skolem mapping"),
+    "composition-bounded": (
+        "COMPOSITION-MEMBERSHIP", "NEXPTIME-complete combined complexity "
+        "(Theorem 7.2); approximated by a bounded search", False,
+        "outside the Theorem 8.2 class: bounded intermediate-tree search "
+        "with the finite value abstraction (Section 7.2)"),
+    "conscomp-automata": (
+        "CONSCOMP", "EXPTIME (Theorem 7.1(1))", True,
+        "comparison-free chain: exact staged trigger-set chaining "
+        "(Theorem 7.1(1), EXPTIME)"),
+    "conscomp-bounded": (
+        "CONSCOMP", "undecidable (Theorem 7.1(2))", False,
+        "comparisons or constants in the chain: sound bounded witness-chain "
+        "search (the problem is undecidable, Theorem 7.1(2))"),
+    "pattern-sat": (
+        "SAT", "NP-complete (Lemma 4.1), decided exactly", True,
+        "closure-automaton reachability with tag lifting (Lemma 4.1)"),
+    "separation": (
+        "SEPARATION", "EXPTIME (Section 9)", True,
+        "joint closure automaton over P+ ∪ P-: conforming root state "
+        "containing P+ and avoiding P- (Section 9)"),
+}
+
+
+def require(mapping: "SchemaMapping", fact: str, message: str) -> None:
+    """A solver's class precondition: the classification must have *fact*."""
+    if not getattr(classify(mapping), fact):
+        raise SignatureError(message)
+
+
+def cell(algorithm: str, fragment: str) -> CellPrediction:
+    """The Figure 1–2 cell of the engine route *algorithm*."""
+    problem, complexity, exact, reason = _CELLS[algorithm]
+    return CellPrediction(problem, fragment, algorithm, complexity, exact, reason)
+
+
 # ---------------------------------------------------------------------------
-# fragment predicates (Figure 1's row labels)
+# the per-mapping classification (Figure 1's row labels, computed once)
 # ---------------------------------------------------------------------------
 
 
-def uses_constants(mapping: "SchemaMapping") -> bool:
-    """Does any pattern of the mapping mention a constant?"""
-    return any(
+@dataclass(frozen=True)
+class MappingClassification:
+    """Every fact the Figure 1–2 routing reads off one mapping: the
+    ``SM(σ)`` facts of the stds, the two DTDs' cached classifications,
+    the class facts combining them (each defined once, in
+    :func:`_build_classification`) and the four cells they predict."""
+
+    signature: "Signature"
+    comparisons: bool  # = / ≠: the ∼ features
+    constants: bool
+    skolem: bool
+    fully_specified: bool
+    targets_fully_specified: bool
+    sm0: bool  # no attribute formulae and no comparisons at all
+    sources_expandable: bool  # no sibling order in any source pattern
+    source: DTDClassification
+    target: DTDClassification
+    comparison_free: bool  # no comparisons, no constants: SM(⇓,⇒)
+    nested_relational: bool  # both DTDs
+    cons_nested: bool  # Fact 5.1: SM(⇓) over nested-relational DTDs
+    abscons_ptime: bool  # Theorem 6.3: SM(↓), fully specified, nested-rel.
+    composable: bool  # Theorem 8.2: strictly nested-rel., fully spec., no ≠
+    cons: CellPrediction
+    abscons: CellPrediction
+    membership: CellPrediction
+    composition_stage: CellPrediction
+
+
+def _build_classification(
+    mapping: "SchemaMapping", context: "ExecutionContext | None"
+) -> MappingClassification:
+    signature = mapping.signature()
+    fragment = str(signature)
+    comparisons = mapping.uses_data_comparisons()
+    constants = any(
         isinstance(term, Const)
         for std in mapping.stds
         for pattern in (std.source, std.target)
         for term in pattern.terms()
     )
-
-
-def uses_skolem_functions(mapping: "SchemaMapping") -> bool:
-    """Does any std use Skolem functions (Section 8 semantics)?"""
-    return any(std.skolem_functions() for std in mapping.stds)
-
-
-def nested_ptime_applicable(
-    mapping: "SchemaMapping", context: "ExecutionContext | None" = None
-) -> bool:
-    """Is the Fact-5.1 PTIME consistency route applicable?
-
-    Requires ``SM(⇓)`` (no horizontal axes, comparisons or constants)
-    over nested-relational DTDs; the DTD classification is read through
-    the compilation cache.
-    """
-    if mapping.uses_data_comparisons() or uses_constants(mapping):
-        return False
-    if mapping.signature().features & HORIZONTAL:
-        return False
-    return (
-        dtd_classification(mapping.source_dtd, context).nested_relational
-        and dtd_classification(mapping.target_dtd, context).nested_relational
+    skolem = mapping.uses_skolem_functions()
+    fully_specified = mapping.is_fully_specified()
+    targets_fully_specified = all(
+        is_fully_specified(std.target) for std in mapping.stds
     )
-
-
-def is_sm0(mapping: "SchemaMapping") -> bool:
-    """Value-free ``SM°``: no comparisons, no attribute formulae at all."""
-    return all(
-        not std.source_conditions
-        and not std.target_conditions
-        and all(sub.vars is None for sub in std.source.subpatterns())
-        and all(sub.vars is None for sub in std.target.subpatterns())
+    sm0 = not comparisons and all(
+        sub.vars is None
         for std in mapping.stds
+        for pattern in (std.source, std.target)
+        for sub in pattern.subpatterns()
+    )
+    # expansion (repro.consistency.expansion) handles wildcard and
+    # descendant sources, not sibling order
+    sources_expandable = not any(
+        axes.next_sibling or axes.following_sibling
+        for axes in (axes_of(std.source) for std in mapping.stds)
+    )
+    source = dtd_classification(mapping.source_dtd, context)
+    target = dtd_classification(mapping.target_dtd, context)
+    comparison_free = not comparisons and not constants
+    horizontal = bool(signature.features & HORIZONTAL)
+    nested = source.nested_relational and target.nested_relational
+    cons_nested = comparison_free and not horizontal and nested
+    abscons_ptime = comparison_free and fully_specified and nested
+    abscons_expansion = (
+        comparison_free and nested and targets_fully_specified and sources_expandable
+    )
+    return MappingClassification(
+        signature=signature,
+        comparisons=comparisons,
+        constants=constants,
+        skolem=skolem,
+        fully_specified=fully_specified,
+        targets_fully_specified=targets_fully_specified,
+        sm0=sm0,
+        sources_expandable=sources_expandable,
+        source=source,
+        target=target,
+        comparison_free=comparison_free,
+        nested_relational=nested,
+        cons_nested=cons_nested,
+        abscons_ptime=abscons_ptime,
+        composable=(
+            source.strictly_nested_relational
+            and target.strictly_nested_relational
+            and fully_specified
+            and INEQUALITY not in signature.features
+        ),
+        cons=cell(
+            "cons-nested" if cons_nested
+            else "cons-automata" if comparison_free
+            else "cons-bounded",
+            fragment,
+        ),
+        abscons=cell(
+            "abscons-sm0" if sm0
+            else "abscons-ptime" if abscons_ptime
+            else "abscons-expansion" if abscons_expansion
+            else "abscons-bounded",
+            fragment,
+        ),
+        membership=cell("membership-skolem" if skolem else "membership", fragment),
+        composition_stage=cell(
+            "conscomp-automata" if comparison_free else "conscomp-bounded",
+            fragment,
+        ),
     )
 
 
-def in_abscons_ptime_class(mapping: "SchemaMapping") -> bool:
-    """The Theorem 6.3 class: SM(↓), fully specified, nested-relational."""
-    return (
-        not mapping.uses_data_comparisons()
-        and mapping.is_fully_specified()
-        and mapping.is_nested_relational()
-        and not uses_constants(mapping)
-    )
+def classify(
+    mapping: "SchemaMapping", context: "ExecutionContext | None" = None
+) -> MappingClassification:
+    """The mapping's classification, built on first use and memoized.
 
-
-def _sources_expandable(mapping: "SchemaMapping") -> bool:
-    """Can every source pattern be expanded to fully-specified form?
-
-    Mirrors ``repro.consistency.expansion``: wildcard and descendant are
-    handled, horizontal sibling order is not (every sequence must be a
-    singleton).
+    Memoized on the mapping object like
+    :meth:`~repro.mappings.mapping.SchemaMapping.signature` (stds and
+    DTDs are fixed at construction); *context* only picks the cache the
+    two DTD classifications are read through on that first build.
     """
-
-    def expandable(pattern: Pattern) -> bool:
-        for item in pattern.items:
-            if isinstance(item, Descendant):
-                if not expandable(item.pattern):
-                    return False
-            else:
-                assert isinstance(item, Sequence)
-                if len(item.elements) != 1:
-                    return False
-                if not expandable(item.elements[0]):
-                    return False
-        return True
-
-    return all(expandable(std.source) for std in mapping.stds)
-
-
-def in_abscons_expansion_class(mapping: "SchemaMapping") -> bool:
-    """The source-expansion route: ⇓-sources over nested-relational DTDs.
-
-    Targets must be fully specified; sources may use wildcard and
-    descendant (expanded away), but no horizontal order.  The run-time
-    route can additionally overflow its expansion limit, which a static
-    check cannot foresee.
-    """
-    return (
-        not mapping.uses_data_comparisons()
-        and not uses_constants(mapping)
-        and mapping.is_nested_relational()
-        and all(is_fully_specified(std.target) for std in mapping.stds)
-        and _sources_expandable(mapping)
-    )
-
-
-def in_composable_class(mapping: "SchemaMapping") -> bool:
-    """The Theorem 8.2 composition-closed class.
-
-    Strictly nested-relational DTDs, fully-specified stds, equality only
-    (mirrors ``SkolemMapping.check_composable_class``).
-    """
-    return (
-        mapping.source_dtd.is_strictly_nested_relational()
-        and mapping.target_dtd.is_strictly_nested_relational()
-        and mapping.is_fully_specified()
-        and INEQUALITY not in mapping.signature().features
-    )
-
-
-def chain_comparison_free(mappings: tuple["SchemaMapping", ...]) -> bool:
-    """Is the whole chain inside SM(⇓,⇒) (no comparisons, no constants)?"""
-    return all(
-        not mapping.uses_data_comparisons() and not uses_constants(mapping)
-        for mapping in mappings
-    )
+    cached: MappingClassification | None = mapping.__dict__.get("_classification")
+    if cached is None:
+        cached = _build_classification(mapping, context)
+        mapping.__dict__["_classification"] = cached
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -193,99 +280,30 @@ def predict_consistency(
     mapping: "SchemaMapping", context: "ExecutionContext | None" = None
 ) -> CellPrediction:
     """The Figure 1 CONS cell the engine will route to."""
-    fragment = str(mapping.signature())
-    if not mapping.uses_data_comparisons() and not uses_constants(mapping):
-        if nested_ptime_applicable(mapping, context):
-            return CellPrediction(
-                "CONS", fragment, "cons-nested", "PTIME (Fact 5.1)", True,
-                "SM(⇓) over nested-relational DTDs: PTIME via the "
-                "minimal tree (Fact 5.1)",
-            )
-        return CellPrediction(
-            "CONS", fragment, "cons-automata",
-            "EXPTIME-complete (Theorem 5.2)", True,
-            "no data comparisons or constants: exact trigger-set "
-            "automata (Theorem 5.2, EXPTIME)",
-        )
-    return CellPrediction(
-        "CONS", fragment, "cons-bounded",
-        "undecidable in general (Theorems 5.4/5.5)", False,
-        "data comparisons or constants: sound bounded witness search "
-        "only (Theorems 5.4/5.5)",
-    )
+    return classify(mapping, context).cons
 
 
 def predict_abscons(
     mapping: "SchemaMapping", context: "ExecutionContext | None" = None
 ) -> CellPrediction:
     """The Figure 1 ABSCONS cell the engine will route to."""
-    fragment = str(mapping.signature())
-    if is_sm0(mapping):
-        return CellPrediction(
-            "ABSCONS", fragment, "abscons-sm0",
-            "EXPTIME (Proposition 6.1)", True,
-            "value-free SM° mapping: exact trigger-set coverage "
-            "(Proposition 6.1)",
-        )
-    if in_abscons_ptime_class(mapping):
-        return CellPrediction(
-            "ABSCONS", fragment, "abscons-ptime",
-            "PTIME (Theorem 6.3)", True,
-            "nested-relational + fully specified: exact rigidity "
-            "analysis (Theorem 6.3, PTIME)",
-        )
-    if in_abscons_expansion_class(mapping):
-        return CellPrediction(
-            "ABSCONS", fragment, "abscons-expansion",
-            "NEXPTIME (source expansion + Theorem 6.3 analysis)", True,
-            "⇓-sources over non-recursive DTDs: exact via "
-            "source expansion + rigidity analysis",
-        )
-    return CellPrediction(
-        "ABSCONS", fragment, "abscons-bounded",
-        "EXPSPACE upper bound (Theorem 6.2), construction unpublished",
-        False,
-        "outside every exact class: sound bounded "
-        "refutation (Theorem 6.2 gives EXPSPACE, construction unpublished)",
-    )
+    return classify(mapping, context).abscons
 
 
 def predict_membership(mapping: "SchemaMapping") -> CellPrediction:
     """The Figure 2 membership cell the engine will route to."""
-    fragment = str(mapping.signature())
-    if uses_skolem_functions(mapping):
-        return CellPrediction(
-            "MEMBERSHIP", fragment, "membership-skolem",
-            "NP combined complexity (Section 8 valuations)", True,
-            "Skolem stds: backtracking valuation of the shared "
-            "unknowns (Section 8)",
-        )
-    return CellPrediction(
-        "MEMBERSHIP", fragment, "membership",
-        "PTIME data complexity, NP-complete combined (Theorem 4.4)", True,
-        "plain stds: conformance plus per-obligation semi-joins "
-        "(Definition 3.2)",
-    )
+    return classify(mapping).membership
 
 
 def predict_composition_membership(
     m12: "SchemaMapping", m23: "SchemaMapping"
 ) -> CellPrediction:
     """The Figure 2 composition-membership cell the engine will route to."""
-    fragment = f"{m12.signature()} ∘ {m23.signature()}"
-    if in_composable_class(m12) and in_composable_class(m23):
-        return CellPrediction(
-            "COMPOSITION-MEMBERSHIP", fragment, "composition-exact",
-            "NP combined complexity via the composed Skolem mapping "
-            "(Theorem 8.2)", True,
-            "Theorem 8.2 class: membership via the composed Skolem mapping",
-        )
-    return CellPrediction(
-        "COMPOSITION-MEMBERSHIP", fragment, "composition-bounded",
-        "NEXPTIME-complete combined complexity (Theorem 7.2); "
-        "approximated by a bounded search", False,
-        "outside the Theorem 8.2 class: bounded intermediate-tree "
-        "search with the finite value abstraction (Section 7.2)",
+    first, second = classify(m12), classify(m23)
+    exact = first.composable and second.composable
+    return cell(
+        "composition-exact" if exact else "composition-bounded",
+        f"{first.signature} ∘ {second.signature}",
     )
 
 
@@ -293,36 +311,13 @@ def predict_composition_consistency(
     mappings: tuple["SchemaMapping", ...],
 ) -> CellPrediction:
     """The CONSCOMP cell (Theorem 7.1) the engine will route to."""
-    fragment = " ∘ ".join(str(mapping.signature()) for mapping in mappings)
-    if chain_comparison_free(tuple(mappings)):
-        return CellPrediction(
-            "CONSCOMP", fragment, "conscomp-automata",
-            "EXPTIME (Theorem 7.1(1))", True,
-            "comparison-free chain: exact staged trigger-set chaining "
-            "(Theorem 7.1(1), EXPTIME)",
-        )
-    return CellPrediction(
-        "CONSCOMP", fragment, "conscomp-bounded",
-        "undecidable (Theorem 7.1(2))", False,
-        "comparisons or constants in the chain: sound bounded "
-        "witness-chain search (the problem is undecidable, Theorem 7.1(2))",
-    )
-
-
-def predict_satisfiability() -> CellPrediction:
-    return CellPrediction(
-        "SAT", "patterns", "pattern-sat",
-        "NP-complete (Lemma 4.1), decided exactly", True,
-        "closure-automaton reachability with tag lifting (Lemma 4.1)",
-    )
-
-
-def predict_separation() -> CellPrediction:
-    return CellPrediction(
-        "SEPARATION", "patterns", "separation",
-        "EXPTIME (Section 9)", True,
-        "joint closure automaton over P+ ∪ P-: conforming root state "
-        "containing P+ and avoiding P- (Section 9)",
+    stages = [classify(mapping) for mapping in mappings]
+    if len(stages) == 1:
+        return stages[0].composition_stage
+    exact = all(stage.comparison_free for stage in stages)
+    return cell(
+        "conscomp-automata" if exact else "conscomp-bounded",
+        " ∘ ".join(str(stage.signature) for stage in stages),
     )
 
 
@@ -351,7 +346,7 @@ def predict_for_problem(
     if isinstance(problem, CompositionConsistencyProblem):
         return predict_composition_consistency(problem.mappings)
     if isinstance(problem, SatisfiabilityProblem):
-        return predict_satisfiability()
+        return cell("pattern-sat", "patterns")
     if isinstance(problem, SeparationProblem):
-        return predict_separation()
+        return cell("separation", "patterns")
     raise TypeError(f"cannot predict a cell for {type(problem).__name__}")

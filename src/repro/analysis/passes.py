@@ -4,9 +4,9 @@ Each pass is a pure function ``(mapping, context) -> list[Diagnostic]``
 over a :class:`~repro.mappings.mapping.SchemaMapping`:
 
 * :func:`fragment_pass` — ``SM0xx``: the ``SM(σ)`` fragment and the
-  predicted Figure 1–2 cell per problem kind (via
-  :mod:`repro.analysis.fragment`, the same predicates the engine routes
-  with);
+  predicted Figure 1–2 cell per problem kind (read off
+  :func:`repro.analysis.fragment.classify`, the classification the
+  engine routes with);
 * :func:`dtd_pass` — ``SM1xx``: nested-relational / strictly
   nested-relational / recursion classification and DTD satisfiability;
 * :func:`hygiene_pass` — ``SM2xx``: trivial inconsistencies (labels
@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis import fragment as frag
 from repro.analysis.diagnostics import Diagnostic, Severity, SourceLocation
-from repro.engine.cache import dtd_classification
 from repro.errors import BoundExceededError
 from repro.mappings.std import STD, Comparison
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
@@ -38,6 +37,7 @@ from repro.values import Const, SkolemTerm, Var
 
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
+    from repro.engine.cache import DTDClassification
     from repro.mappings.mapping import SchemaMapping
     from repro.patterns.matching import PatternEngine
     from repro.xmlmodel.dtd import DTD
@@ -52,12 +52,23 @@ if TYPE_CHECKING:
 _CELL_CODES = {"CONS": "SM002", "ABSCONS": "SM003", "MEMBERSHIP": "SM004"}
 
 
+def _cell_diagnostic(code: str, prediction: "frag.CellPrediction") -> Diagnostic:
+    return Diagnostic(
+        code, Severity.INFO, prediction.describe(),
+        data=(("problem", prediction.problem),
+              ("algorithm", prediction.algorithm),
+              ("complexity", prediction.complexity),
+              ("exact", prediction.exact)),
+    )
+
+
 def fragment_pass(
     mapping: "SchemaMapping", context: "ExecutionContext | None" = None
 ) -> list[Diagnostic]:
     """``SM0xx``: fragment + predicted complexity cells (Figures 1–2)."""
     diagnostics: list[Diagnostic] = []
-    signature = mapping.signature()
+    facts = frag.classify(mapping, context)
+    signature = facts.signature
     diagnostics.append(
         Diagnostic(
             "SM001", Severity.INFO,
@@ -66,24 +77,11 @@ def fragment_pass(
                   ("features", tuple(sorted(signature.features)))),
         )
     )
-    predictions = [
-        frag.predict_consistency(mapping, context),
-        frag.predict_abscons(mapping, context),
-        frag.predict_membership(mapping),
-    ]
+    predictions = [facts.cons, facts.abscons, facts.membership]
     for prediction in predictions:
-        diagnostics.append(
-            Diagnostic(
-                _CELL_CODES[prediction.problem], Severity.INFO,
-                prediction.describe(),
-                data=(("problem", prediction.problem),
-                      ("algorithm", prediction.algorithm),
-                      ("complexity", prediction.complexity),
-                      ("exact", prediction.exact)),
-            )
-        )
-    conscomp = frag.predict_composition_consistency((mapping,))
-    composable = frag.in_composable_class(mapping)
+        diagnostics.append(_cell_diagnostic(_CELL_CODES[prediction.problem], prediction))
+    conscomp = facts.composition_stage
+    composable = facts.composable
     diagnostics.append(
         Diagnostic(
             "SM005", Severity.INFO,
@@ -134,8 +132,7 @@ def fragment_pass(
 # ---------------------------------------------------------------------------
 
 
-def _describe_dtd(dtd: "DTD", context: "ExecutionContext | None") -> tuple[str, tuple]:
-    classification = dtd_classification(dtd, context)
+def _describe_dtd(dtd: "DTD", classification: "DTDClassification") -> tuple[str, tuple]:
     facts = []
     if classification.strictly_nested_relational:
         facts.append("strictly nested-relational")
@@ -159,12 +156,13 @@ def dtd_pass(
 ) -> list[Diagnostic]:
     """``SM1xx``: DTD classification and satisfiability."""
     diagnostics: list[Diagnostic] = []
+    facts = frag.classify(mapping, context)
     sides = (
-        ("source", mapping.source_dtd, "SM101", "SM110"),
-        ("target", mapping.target_dtd, "SM102", "SM111"),
+        ("source", mapping.source_dtd, facts.source, "SM101", "SM110"),
+        ("target", mapping.target_dtd, facts.target, "SM102", "SM111"),
     )
-    for side, dtd, info_code, unsat_code in sides:
-        summary, data = _describe_dtd(dtd, context)
+    for side, dtd, classification, info_code, unsat_code in sides:
+        summary, data = _describe_dtd(dtd, classification)
         diagnostics.append(
             Diagnostic(
                 info_code, Severity.INFO,
@@ -611,10 +609,8 @@ def composition_pass(
                         data=(("features", tuple(broken)),),
                     )
                 )
-    for side, dtd in (
-        ("source", mapping.source_dtd), ("target", mapping.target_dtd)
-    ):
-        classification = dtd_classification(dtd, context)
+    facts = frag.classify(mapping, context)
+    for side, classification in (("source", facts.source), ("target", facts.target)):
         if not classification.strictly_nested_relational:
             detail = (
                 "attributes on non-starred element types"
@@ -631,7 +627,7 @@ def composition_pass(
             )
     from repro.patterns.features import INEQUALITY
 
-    if INEQUALITY in mapping.signature().features:
+    if INEQUALITY in facts.signature.features:
         diagnostics.append(
             Diagnostic(
                 "SM303", Severity.WARNING,
@@ -639,7 +635,7 @@ def composition_pass(
                 "class (Theorem 8.2)",
             )
         )
-    if frag.in_composable_class(mapping):
+    if facts.composable:
         diagnostics.append(
             Diagnostic(
                 "SM304", Severity.INFO,
@@ -648,7 +644,7 @@ def composition_pass(
                 "equality only): compositions stay in the class",
             )
         )
-    if frag.uses_skolem_functions(mapping):
+    if facts.skolem:
         names = sorted(
             name for std in mapping.stds for name in std.skolem_functions()
         )
@@ -727,21 +723,12 @@ def diagnostics_for_problem(
         (ConsistencyProblem, AbsoluteConsistencyProblem, MembershipProblem),
     ):
         return tuple(fragment_pass(problem.mapping, context))
-    if isinstance(problem, CompositionMembershipProblem):
-        prediction = frag.predict_composition_membership(problem.m12, problem.m23)
-    elif isinstance(problem, CompositionConsistencyProblem):
-        prediction = frag.predict_composition_consistency(tuple(problem.mappings))
-    else:  # satisfiability / separation: no mapping to classify
+    if not isinstance(
+        problem, (CompositionMembershipProblem, CompositionConsistencyProblem)
+    ):  # satisfiability / separation: no mapping to classify
         return ()
-    diagnostics = [
-        Diagnostic(
-            "SM005", Severity.INFO, prediction.describe(),
-            data=(("problem", prediction.problem),
-                  ("algorithm", prediction.algorithm),
-                  ("complexity", prediction.complexity),
-                  ("exact", prediction.exact)),
-        )
-    ]
+    prediction = frag.predict_for_problem(problem, context)
+    diagnostics = [_cell_diagnostic("SM005", prediction)]
     if not prediction.exact:
         diagnostics.append(
             Diagnostic(

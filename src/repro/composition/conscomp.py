@@ -34,11 +34,10 @@ from repro.engine.verdicts import (
     Verdict,
     WitnessChain,
 )
-from repro.errors import SignatureError, XsmError
+from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import SolutionChecker
 from repro.patterns.ast import Pattern
-from repro.values import Const
 from repro.verification.enumeration import enumerate_trees
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
@@ -47,17 +46,12 @@ from repro.xmlmodel.tree import TreeNode
 def _check_chain(mappings: list[SchemaMapping]) -> None:
     if not mappings:
         raise XsmError("composition of zero mappings")
+    from repro.analysis.fragment import require
+
     for mapping in mappings:
-        if mapping.uses_data_comparisons():
-            raise SignatureError(
-                "exact consistency of composition handles comparison-free "
-                "mappings only (the problem is undecidable with ∼); "
-                "use is_composition_consistent_bounded"
-            )
-        for std in mapping.stds:
-            for pattern in (std.source, std.target):
-                if any(isinstance(t, Const) for t in pattern.terms()):
-                    raise SignatureError("constants are outside SM(⇓,⇒)")
+        require(mapping, "comparison_free", "exact consistency of composition "
+                "needs SM(⇓,⇒) stages (undecidable with ∼ or constants); use "
+                "is_composition_consistent_bounded")
     for left, right in zip(mappings, mappings[1:]):
         if left.target_dtd.labels != right.source_dtd.labels or any(
             str(left.target_dtd.productions[label])

@@ -27,24 +27,29 @@ Three procedures, mirroring the paper's results:
     rigid source position) — plus the structural condition that every
     triggerable std has a target embeddable in ``D_t``.
 
-* :func:`abscons_counterexample` — a sound bounded refuter for the general
-  case (Theorem 6.2 proves decidability in EXPSPACE; the paper's counting
-  construction is not given, so completeness is only up to the bounds —
-  see DESIGN.md, substitution 1).
+* :func:`is_absolutely_consistent_bounded` — a sound bounded refuter for
+  the general case (Theorem 6.2 proves decidability in EXPSPACE; the
+  paper's counting construction is not given, so completeness is only up
+  to the bounds — see DESIGN.md, substitution 1).
 
-Every decision entry point returns an
+:func:`decide_absolute_consistency` routes between them from the
+mapping's predicted cell.  The decision entry points return a
 :class:`~repro.engine.verdicts.Verdict`; the witness extractors
-(:func:`sm0_counterexample`, :func:`abscons_counterexample`) stay raw for
-the certificate re-checker.
+(:func:`sm0_counterexample`, :func:`abscons_counterexample`) stay raw.
 """
 
 from __future__ import annotations
 
 from repro.automata.dtd_automaton import DTDAutomaton
-from repro.consistency.bounded import default_value_domain
+from repro.consistency.bounded import (
+    default_value_domain,
+    exhaustive_fresh_values,
+    mapping_constants,
+)
 from repro.consistency.cons_nested import _Embedder
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import achievable_sets
+from repro.engine.problems import AbsoluteConsistencyProblem
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Counterexample,
@@ -54,14 +59,16 @@ from repro.engine.verdicts import (
     Unknown,
     Verdict,
 )
-from repro.errors import BoundExceededError, SignatureError
+from repro.errors import BoundExceededError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
 from repro.patterns.ast import Pattern, Sequence
-from repro.values import Const, Var
+from repro.patterns.matching import engine_for
+from repro.values import Var
 from repro.verification.enumeration import enumerate_trees
 from repro.verification.oracle import oracle_has_solution
 from repro.xmlmodel.dtd import DTD
+from repro.xmlmodel.parser import serialize_tree
 from repro.xmlmodel.tree import TreeNode
 
 
@@ -71,14 +78,10 @@ from repro.xmlmodel.tree import TreeNode
 
 
 def _check_sm0(mapping: SchemaMapping) -> None:
-    for std in mapping.stds:
-        if std.source_conditions or std.target_conditions:
-            raise SignatureError("SM° mappings have no comparison formulae")
-        for pattern in (std.source, std.target):
-            if any(sub.vars is not None for sub in pattern.subpatterns()):
-                raise SignatureError(
-                    "SM° mappings mention no attributes; call .strip_values()"
-                )
+    from repro.analysis.fragment import require
+
+    require(mapping, "sm0", "SM° mappings have no comparisons and mention "
+            "no attributes; call .strip_values()")
 
 
 def _sm0_sets(mapping: SchemaMapping, context: ExecutionContext | None):
@@ -113,18 +116,9 @@ def is_absolutely_consistent_sm0(
 
     ``Refuted`` carries a conforming source tree with no solution.
     """
-    _check_sm0(mapping)
-    source_sets, target_sets = _sm0_sets(mapping, context)
-    maximal_targets = [
-        satisfied
-        for satisfied in target_sets
-        if not any(satisfied < other for other in target_sets)
-    ]
-    for triggered, witness in source_sets.items():
-        if not any(triggered <= satisfied for satisfied in maximal_targets):
-            return Refuted(
-                Counterexample(DTDAutomaton(mapping.source_dtd).decorate(witness))
-            )
+    counterexample = sm0_counterexample(mapping, context)
+    if counterexample is not None:
+        return Refuted(Counterexample(counterexample))
     return Proved(
         AnalysisCertificate(
             "abscons-sm0",
@@ -140,10 +134,26 @@ def sm0_counterexample(
     """A source tree (values erased) with no solution, for SM° mappings."""
     _check_sm0(mapping)
     source_sets, target_sets = _sm0_sets(mapping, context)
+    maximal_targets = [
+        satisfied
+        for satisfied in target_sets
+        if not any(satisfied < other for other in target_sets)
+    ]
     for triggered, witness in source_sets.items():
-        if not any(triggered <= satisfied for satisfied in target_sets):
+        if not any(triggered <= satisfied for satisfied in maximal_targets):
             return DTDAutomaton(mapping.source_dtd).decorate(witness)
     return None
+
+
+def sm0_has_no_solution(mapping: SchemaMapping, source: TreeNode) -> bool:
+    """Exact for SM° mappings: is the std set *source* triggers (read off
+    by the pattern engine) covered by no achievable target set?"""
+    _check_sm0(mapping)
+    engine = engine_for(source)
+    stds = enumerate(mapping.stds)
+    triggered = {index for index, std in stds if engine.exists_at_root(std.source)}
+    __, target_sets = _sm0_sets(mapping, None)
+    return not any(triggered <= satisfied for satisfied in target_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +162,10 @@ def sm0_counterexample(
 
 
 def _check_ptime_class(mapping: SchemaMapping) -> None:
-    if mapping.uses_data_comparisons():
-        raise SignatureError("the PTIME ABSCONS algorithm handles SM(↓) without ∼")
-    if not mapping.is_fully_specified():
-        raise SignatureError("stds must be fully specified (Theorem 6.3)")
-    if not mapping.is_nested_relational():
-        raise SignatureError("both DTDs must be nested-relational (Theorem 6.3)")
-    for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            if any(isinstance(t, Const) for t in pattern.terms()):
-                raise SignatureError("constants are outside SM(↓)")
+    from repro.analysis.fragment import require
+
+    require(mapping, "abscons_ptime", "the PTIME ABSCONS algorithm (Theorem "
+            "6.3) needs fully-specified SM(↓) over nested-relational DTDs")
 
 
 def _pattern_cells(pattern: Pattern, dtd: DTD):
@@ -328,19 +332,27 @@ def is_absolutely_consistent_ptime(mapping: SchemaMapping) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+#: Nulls the bounded refuter adds to the value domain for target trees.
+_NULLS = 2
+
+
+def _target_domain(value_domain: tuple, nulls: int = _NULLS) -> tuple:
+    return tuple(value_domain) + tuple(f"#null{i}" for i in range(nulls))
+
+
 def abscons_counterexample(
     mapping: SchemaMapping,
     max_source_size: int | None = None,
     max_target_size: int | None = None,
     value_domain: tuple | None = None,
-    extra_target_values: int = 2,
+    extra_target_values: int = _NULLS,
     context: ExecutionContext | None = None,
 ) -> TreeNode | None:
     """A bounded source tree with no bounded solution, or None.
 
-    Sound refuter for the general ``ABSCONS`` problem: a returned tree
-    genuinely has no solution *within the target bound*; None means
-    absolute consistency holds as far as the bounds can see.  Bounds
+    The raw search: a returned tree has no solution *within the target
+    bound*, which refutes absolute consistency only when that search was
+    exhaustive (see :func:`is_absolutely_consistent_bounded`).  Bounds
     default to the context's :class:`~repro.engine.budget.Budget`.
     """
     budget = resolve_budget(context)
@@ -350,9 +362,7 @@ def abscons_counterexample(
         max_target_size = budget.max_target_size
     if value_domain is None:
         value_domain = default_value_domain(mapping)
-    target_domain = tuple(value_domain) + tuple(
-        f"#null{i}" for i in range(extra_target_values)
-    )
+    target_domain = _target_domain(value_domain, extra_target_values)
     for source in enumerate_trees(mapping.source_dtd, max_source_size, value_domain):
         if context is not None:
             context.charge()
@@ -361,48 +371,65 @@ def abscons_counterexample(
     return None
 
 
-def decide_absolute_consistency(
-    mapping: SchemaMapping,
-    context: ExecutionContext | None = None,
-) -> tuple[Verdict, str]:
-    """Run the strongest applicable ABSCONS procedure.
-
-    Returns ``(verdict, algorithm)`` so the engine's solve report can
-    record which route decided (or gave up on) the instance.
-    """
-    is_sm0 = all(
-        not std.source_conditions
-        and not std.target_conditions
-        and all(sub.vars is None for sub in std.source.subpatterns())
-        and all(sub.vars is None for sub in std.target.subpatterns())
-        for std in mapping.stds
-    )
-    if is_sm0:
-        return is_absolutely_consistent_sm0(mapping, context), "abscons-sm0"
-    try:
-        return is_absolutely_consistent_ptime(mapping), "abscons-ptime"
-    except SignatureError:
-        pass
-    # exact fallback for wildcard/descendant *sources* via expansion
-    from repro.consistency.expansion import is_absolutely_consistent_expanded
-
-    try:
-        return is_absolutely_consistent_expanded(mapping), "abscons-expansion"
-    except (SignatureError, BoundExceededError):
-        pass
-    counterexample = abscons_counterexample(mapping, context=context)
-    if counterexample is not None:
-        return Refuted(Counterexample(counterexample)), "abscons-bounded"
+def is_absolutely_consistent_bounded(
+    mapping: SchemaMapping, context: ExecutionContext | None = None
+) -> Verdict:
+    """Bounded refutation for the general case (Theorem 6.2): ``Refuted``
+    only when the target search behind the candidate source was exhaustive
+    (:func:`~repro.consistency.bounded.exhaustive_fresh_values`)."""
     budget = resolve_budget(context)
-    return (
-        Unknown(
+    candidate = abscons_counterexample(mapping, context=context)
+    if candidate is None:
+        return Unknown(
             "no counterexample within the bounds; the general ABSCONS "
             "algorithm (EXPSPACE, Theorem 6.2) is approximated by bounded "
             f"refutation only (source bound {budget.max_source_size})",
             bound_exhausted=True,
-        ),
-        "abscons-bounded",
+        )
+    # the searched target values beyond the candidate's and the constants
+    needed = exhaustive_fresh_values(mapping, budget.max_target_size)
+    fresh = set(_target_domain(default_value_domain(mapping))) - candidate.adom()
+    fresh -= set(mapping_constants(mapping))
+    if needed is not None and len(fresh) >= needed:
+        return Refuted(Counterexample(candidate))
+    return Unknown(
+        f"source {serialize_tree(candidate)} has no solution of at most "
+        f"{budget.max_target_size} target nodes, but the target search "
+        "is not exhaustive, so a larger solution may exist",
+        bound_exhausted=True,
     )
+
+
+def decide_absolute_consistency(
+    problem: AbsoluteConsistencyProblem,
+    context: ExecutionContext | None,
+    info: dict[str, str],
+) -> Verdict:
+    """The engine's ABSCONS route: run the algorithm the classification
+    predicts, naming it in *info* first.  The one dynamic fallback: a
+    source expansion overflowing ``expansion_limit`` runs the bounded
+    route instead."""
+    from repro.analysis.fragment import predict_abscons
+    from repro.consistency.expansion import is_absolutely_consistent_expanded
+
+    mapping = problem.mapping
+    prediction = predict_abscons(mapping, context)
+    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
+    if prediction.algorithm == "abscons-sm0":
+        return is_absolutely_consistent_sm0(mapping, context)
+    if prediction.algorithm == "abscons-ptime":
+        return is_absolutely_consistent_ptime(mapping)
+    if prediction.algorithm == "abscons-expansion":
+        limit = resolve_budget(context).expansion_limit
+        try:
+            return is_absolutely_consistent_expanded(mapping, limit)
+        except BoundExceededError:
+            info.update(
+                algorithm="abscons-bounded",
+                reason="predicted abscons-expansion exceeded its budget: "
+                "sound bounded refutation instead",
+            )
+    return is_absolutely_consistent_bounded(mapping, context)
 
 
 def is_absolutely_consistent(
@@ -414,23 +441,14 @@ def is_absolutely_consistent(
     """Dispatch to the strongest applicable ABSCONS procedure.
 
     Exact for SM° mappings and for the Theorem 6.3 class (with or without
-    source expansion); otherwise a bounded refutation is attempted and
-    finding nothing yields ``Unknown`` with ``bound_exhausted=True`` (the
-    honest outcome for a problem whose general algorithm is EXPSPACE with
-    an unpublished construction).
+    source expansion); otherwise a bounded refutation is attempted, and
+    anything short of an exhaustive refutation yields ``Unknown`` with
+    ``bound_exhausted=True`` (the honest outcome for a problem whose
+    general algorithm is EXPSPACE with an unpublished construction).
     """
-    from repro.engine.budget import Budget
+    from repro.consistency.dispatch import context_with_bounds
 
-    if max_source_size is not None or max_target_size is not None:
-        budget = context.budget if context is not None else Budget.default()
-        overrides = {}
-        if max_source_size is not None:
-            overrides["max_source_size"] = max_source_size
-        if max_target_size is not None:
-            overrides["max_target_size"] = max_target_size
-        context = ExecutionContext(
-            budget.with_(**overrides),
-            cache=context.cache if context is not None else None,
-        )
-    verdict, _ = decide_absolute_consistency(mapping, context)
-    return verdict
+    context = context_with_bounds(context, max_source_size, max_target_size)
+    return decide_absolute_consistency(
+        AbsoluteConsistencyProblem(mapping), context, {}
+    )

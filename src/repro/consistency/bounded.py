@@ -32,7 +32,7 @@ from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import SolutionChecker
 from repro.mappings.skolem import SkolemSolutionChecker
 from repro.values import Const
-from repro.verification.enumeration import enumerate_trees
+from repro.verification.enumeration import enumerate_trees, max_tree_size
 from repro.xmlmodel.tree import TreeNode
 
 
@@ -63,6 +63,24 @@ def default_value_domain(mapping: SchemaMapping) -> tuple:
     """Constants plus ``max-variables + 1`` fresh values."""
     fresh = tuple(f"#v{i}" for i in range(_max_variables(mapping) + 1))
     return tuple(mapping_constants(mapping)) + fresh
+
+
+def exhaustive_fresh_values(
+    mapping: SchemaMapping, max_target_size: int
+) -> int | None:
+    """Fresh values a bounded target search needs to be exhaustive.
+
+    If every conforming target tree fits *max_target_size*, the trees over
+    the source's values, the constants and one fresh value per target
+    attribute slot hold every solution up to value renaming; returns that
+    slot count, or None when some conforming target tree is too big.
+    """
+    dtd = mapping.target_dtd
+    nodes = max_tree_size(dtd)
+    if nodes > max_target_size:
+        return None
+    widest = max((dtd.arity(label) for label in dtd.labels), default=0)
+    return int(max(nodes, 0)) * widest
 
 
 def find_consistency_witness_bounded(

@@ -35,28 +35,19 @@ from repro.engine.verdicts import (
     Verdict,
     WitnessPair,
 )
-from repro.errors import SignatureError, XsmError
+from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import is_solution
 from repro.patterns.ast import Pattern
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
-from repro.values import Const
 
 
 def _check_applicable(mapping: SchemaMapping) -> None:
-    if mapping.uses_data_comparisons():
-        raise SignatureError(
-            "the automata algorithm decides CONS only for mappings without "
-            "data comparisons (SM(⇓,⇒)); use the bounded procedures for SM(..,∼)"
-        )
-    for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            if any(isinstance(t, Const) for t in pattern.terms()):
-                raise SignatureError(
-                    "constants in patterns are outside SM(⇓,⇒); "
-                    "use the bounded procedures"
-                )
+    from repro.analysis.fragment import require
+
+    require(mapping, "comparison_free", "the automata algorithm decides CONS "
+            "in SM(⇓,⇒) only (no ∼, no constants); use the bounded procedures")
 
 
 def _pattern_labels(mapping: SchemaMapping) -> frozenset[str]:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from functools import reduce
 
 from repro.engine.budget import ExecutionContext
+from repro.engine.cache import dtd_key, resolve_cache
+from repro.engine.depgraph import dtd_digests
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Proved,
@@ -32,34 +34,20 @@ from repro.engine.verdicts import (
     TriggerRefutation,
     Verdict,
 )
-from repro.errors import SignatureError, XsmError
+from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
-from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
+from repro.patterns.ast import WILDCARD, Descendant, Pattern
 from repro.patterns.matching import engine_for
-from repro.values import Const
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 
 
 def _check_applicable(mapping: SchemaMapping) -> None:
-    if mapping.uses_data_comparisons():
-        raise SignatureError("the nested-relational PTIME algorithm handles SM(⇓) only")
-    for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            for sub in pattern.subpatterns():
-                for item in sub.items:
-                    if isinstance(item, Sequence) and len(item.elements) > 1:
-                        raise SignatureError(
-                            "horizontal axes are outside CONS(⇓); "
-                            "use the automata algorithm"
-                        )
-            if any(isinstance(t, Const) for t in pattern.terms()):
-                raise SignatureError("constants are outside SM(⇓)")
-    if not mapping.source_dtd.is_nested_relational():
-        raise SignatureError("source DTD is not nested-relational")
-    if not mapping.target_dtd.is_nested_relational():
-        raise SignatureError("target DTD is not nested-relational")
+    from repro.analysis.fragment import require
+
+    require(mapping, "cons_nested", "the PTIME algorithm (Fact 5.1) needs "
+            "SM(⇓) without ∼ or constants over nested-relational DTDs")
 
 
 def _strict_descendant_labels(dtd: DTD) -> dict[str, frozenset[str]]:
@@ -83,11 +71,16 @@ def _strict_descendant_labels(dtd: DTD) -> dict[str, frozenset[str]]:
 
 
 class _Embedder:
-    """Memoized 'pattern embeddable at label' recursion (PTIME)."""
+    """Memoized 'pattern embeddable at label' recursion (PTIME); the DTD's
+    descendant table is a compiled artifact, read through the cache."""
 
     def __init__(self, dtd: DTD):
         self.dtd = dtd
-        self.reach = _strict_descendant_labels(dtd)
+        self.reach = resolve_cache().lookup(
+            ("descendant-reach", dtd_key(dtd)),
+            lambda: _strict_descendant_labels(dtd),
+            deps=dtd_digests(dtd),
+        )
         self._memo: dict[tuple[Pattern, str], bool] = {}
 
     def embeddable(self, pattern: Pattern, label: str) -> bool:
@@ -118,11 +111,6 @@ class _Embedder:
                 if not any(self.embeddable(element, child) for child in child_labels):
                     return False
         return True
-
-
-def target_satisfiable_nested(dtd: DTD, pattern: Pattern) -> bool:
-    """Is the ``⇓``-pattern satisfiable against the nested-relational DTD?"""
-    return _Embedder(dtd).embeddable(pattern, dtd.root)
 
 
 def triggered_by_minimal_tree(mapping: SchemaMapping) -> list[STD]:

@@ -21,30 +21,18 @@ bounded fallback yields ``Unknown`` instead of raising
 from __future__ import annotations
 
 from repro.engine.budget import Budget, ExecutionContext
-from repro.engine.core import nested_ptime_applicable, uses_constants
 from repro.engine.problems import ConsistencyProblem
 from repro.engine.verdicts import Verdict, WitnessPair
 from repro.mappings.mapping import SchemaMapping
 from repro.xmlmodel.tree import TreeNode
 
-#: Deprecated aliases — the canonical defaults live in ``Budget.default()``.
-DEFAULT_MAX_SOURCE_SIZE = Budget.default().max_source_size
-DEFAULT_MAX_TARGET_SIZE = Budget.default().max_target_size
 
-
-def _uses_constants(mapping: SchemaMapping) -> bool:
-    return uses_constants(mapping)
-
-
-def _nested_ptime_applicable(mapping: SchemaMapping) -> bool:
-    return nested_ptime_applicable(mapping)
-
-
-def _context_for(
+def context_with_bounds(
     context: ExecutionContext | None,
     max_source_size: int | None,
     max_target_size: int | None,
 ) -> ExecutionContext | None:
+    """*context* with the legacy size-bound arguments folded into its budget."""
     if max_source_size is None and max_target_size is None:
         return context
     budget = context.budget if context is not None else Budget.default()
@@ -75,7 +63,7 @@ def is_consistent(
 
     return solve(
         ConsistencyProblem(mapping),
-        _context_for(context, max_source_size, max_target_size),
+        context_with_bounds(context, max_source_size, max_target_size),
     )
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 
 from repro.engine.budget import resolve_budget
+from repro.engine.cache import dtd_classification
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Proved,
@@ -78,7 +79,7 @@ def expand_source_pattern(
     """
     if limit is None:
         limit = resolve_budget(None).expansion_limit
-    if dtd.is_recursive():
+    if dtd_classification(dtd).recursive:
         raise SignatureError("expansion requires a non-recursive DTD")
     paths = _downward_paths(dtd)
     budget = [limit]
@@ -199,14 +200,11 @@ def is_absolutely_consistent_expanded(
     the expansion itself overflows (the caller falls back to bounded
     refutation, which reports ``Unknown``).
     """
+    from repro.analysis.fragment import require
     from repro.consistency.abscons import abscons_ptime_analysis
-    from repro.patterns.features import is_fully_specified
 
-    for std in mapping.stds:
-        if not is_fully_specified(std.target):
-            raise SignatureError(
-                "targets must be fully specified; only sources expand"
-            )
+    require(mapping, "targets_fully_specified",
+            "targets must be fully specified; only sources expand")
     expanded = expand_mapping_sources(mapping, limit)
     problems = abscons_ptime_analysis(expanded)
     if problems:

@@ -55,12 +55,7 @@ from repro.engine.depgraph import (
     production_digest,
     std_digest,
 )
-from repro.engine.core import (
-    nested_ptime_applicable,
-    register_route,
-    solve,
-    uses_constants,
-)
+from repro.engine.core import register_route, solve
 from repro.engine.diskcache import CACHE_FORMAT_VERSION, DiskCacheTier
 from repro.engine.parallel import (
     WORKER_CRASH,
@@ -124,8 +119,6 @@ __all__ = [
     "solve",
     "solve_many",
     "register_route",
-    "uses_constants",
-    "nested_ptime_applicable",
     "cache_from_env",
     "CACHE_FORMAT_VERSION",
     "DiskCacheTier",

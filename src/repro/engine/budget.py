@@ -44,12 +44,11 @@ class Budget:
     """Resource limits for one solver invocation.
 
     ``max_source_size`` / ``max_target_size`` bound enumerated source and
-    target trees (the old ``DEFAULT_MAX_SOURCE_SIZE`` / ``_TARGET_SIZE``),
-    ``max_mid_size`` bounds composition intermediates (``None`` = the
-    per-instance heuristic), ``max_chain_size`` bounds the trees of a
-    bounded composition-consistency chain, ``expansion_limit`` guards
-    pattern-expansion blowup, ``max_expansions`` caps charged search steps
-    (enumerated candidate trees + realized automaton states) and
+    target trees, ``max_mid_size`` bounds composition intermediates
+    (``None`` = the per-instance heuristic), ``max_chain_size`` bounds the
+    trees of a bounded composition-consistency chain, ``expansion_limit``
+    guards pattern-expansion blowup, ``max_expansions`` caps charged search
+    steps (enumerated candidate trees + realized automaton states) and
     ``deadline_seconds`` is a wall-clock limit for the whole solve.
     """
 

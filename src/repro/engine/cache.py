@@ -334,11 +334,6 @@ def dtd_key(dtd: DTD) -> str:
     return key
 
 
-def patterns_key(patterns: Iterable[Pattern]) -> tuple:
-    """Patterns are frozen dataclasses — they *are* their content."""
-    return tuple(patterns)
-
-
 # ---------------------------------------------------------------------------
 # compiled artifacts
 # ---------------------------------------------------------------------------

@@ -63,14 +63,13 @@ def _fail(message: str) -> bool:
 
 def _membership_holds(mapping: Any, source_tree: Any, target_tree: Any) -> bool:
     """Boolean membership through the checker layer (conformance included)."""
-    from repro.engine.core import uses_skolem_functions
     from repro.mappings.membership import SolutionChecker
     from repro.mappings.skolem import SkolemSolutionChecker
 
     if not mapping.source_dtd.conforms(source_tree):
         return False
     make_checker = (
-        SkolemSolutionChecker if uses_skolem_functions(mapping) else SolutionChecker
+        SkolemSolutionChecker if mapping.uses_skolem_functions() else SolutionChecker
     )
     return make_checker(mapping, source_tree).is_solution_for(target_tree)
 
@@ -147,7 +146,9 @@ def _certify_separating_tree(certificate: SeparatingTree, problem: Any) -> bool:
 
 
 def _certify_counterexample(certificate: Counterexample, problem: Any) -> bool:
-    from repro.consistency.bounded import default_value_domain
+    from repro.analysis.fragment import classify
+    from repro.consistency.abscons import sm0_has_no_solution
+    from repro.consistency.bounded import exhaustive_fresh_values, mapping_constants
     from repro.engine.budget import resolve_budget
     from repro.verification.oracle import oracle_has_solution
 
@@ -155,11 +156,23 @@ def _certify_counterexample(certificate: Counterexample, problem: Any) -> bool:
     source = certificate.source
     if not mapping.source_dtd.conforms(source):
         return _fail("counterexample does not conform to the source DTD")
-    budget = resolve_budget(None)
-    domain = tuple(default_value_domain(mapping)) + tuple(
-        sorted(source.adom(), key=repr)
-    )
-    if oracle_has_solution(mapping, source, budget.max_target_size, domain):
+    bound = resolve_budget(None).max_target_size
+    fresh = exhaustive_fresh_values(mapping, bound)
+    if fresh is None:
+        if classify(mapping).sm0:  # exact, whatever the size of solutions
+            return sm0_has_no_solution(mapping, source) or _fail(
+                "counterexample's triggered stds can be satisfied together"
+            )
+        return _fail(
+            "the target DTD has trees beyond the check's size bound, so a "
+            "bounded search finding no solution would not be exhaustive"
+        )
+    domain = tuple(dict.fromkeys((
+        *sorted(source.adom(), key=repr),
+        *mapping_constants(mapping),
+        *(f"#fresh{i}" for i in range(fresh)),
+    )))
+    if oracle_has_solution(mapping, source, bound, domain):
         return _fail("counterexample has a solution within the check bounds")
     return True
 

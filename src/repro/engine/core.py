@@ -1,12 +1,14 @@
 """``engine.solve``: the single front door of every decision procedure.
 
-Routing follows Figures 1–2 of the paper: the problem type plus the
-mapping's ``SM(σ)`` fragment (axes, comparisons, constants) and the
-DTD classification select the strongest applicable algorithm — exact
-where the theory gives one, sound-but-bounded where it proves
-undecidability or leaves the construction open.  The selected algorithm,
-the routing rationale and the run's cost (wall clock, charged expansions,
-cache hit/miss deltas) are recorded in a
+Routing follows Figures 1–2 of the paper: every route runs the cell the
+mapping's memoized classification (:func:`repro.analysis.fragment.classify`)
+predicts — exact where the theory gives one, sound-but-bounded where it
+proves undecidability or leaves the construction open.  The ABSCONS route
+(:func:`repro.consistency.abscons.decide_absolute_consistency`) has the
+one dynamic fallback, from an overflowing source expansion to bounded.
+
+The selected algorithm, the routing rationale and the run's cost (wall
+clock, charged expansions, cache hit/miss deltas) are recorded in a
 :class:`~repro.engine.report.SolveReport` attached to the returned
 verdict, and :class:`~repro.engine.budget.BudgetExceeded` (or any legacy
 :class:`~repro.errors.BoundExceededError`) raised mid-search is converted
@@ -57,42 +59,6 @@ _EXPANSIONS = REGISTRY.counter(
 
 
 # ---------------------------------------------------------------------------
-# fragment predicates (Figure 1's row labels)
-# ---------------------------------------------------------------------------
-# The predicates themselves live in ``repro.analysis.fragment`` (the
-# static classifier, which the linter and this router share so their
-# answers cannot drift); re-exported here for compatibility.
-
-
-def uses_constants(mapping: Any) -> bool:
-    """Does any pattern of the mapping mention a constant?"""
-    from repro.analysis.fragment import uses_constants as predicate
-
-    return predicate(mapping)
-
-
-def uses_skolem_functions(mapping: Any) -> bool:
-    """Does any std use Skolem functions (Section 8 semantics)?"""
-    from repro.analysis.fragment import uses_skolem_functions as predicate
-
-    return predicate(mapping)
-
-
-def nested_ptime_applicable(
-    mapping: Any, context: ExecutionContext | None = None
-) -> bool:
-    """Is the Fact-5.1 PTIME consistency route applicable?
-
-    Requires ``SM(⇓)`` (no horizontal axes, comparisons or constants) over
-    nested-relational DTDs; the DTD classification is read through the
-    compilation cache.
-    """
-    from repro.analysis.fragment import nested_ptime_applicable as predicate
-
-    return predicate(mapping, context)
-
-
-# ---------------------------------------------------------------------------
 # per-problem routing
 # ---------------------------------------------------------------------------
 
@@ -118,22 +84,9 @@ def _solve_consistency(
 def _solve_abscons(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
-    from repro.analysis.fragment import predict_abscons
     from repro.consistency.abscons import decide_absolute_consistency
 
-    prediction = predict_abscons(problem.mapping, context)
-    verdict, algorithm = decide_absolute_consistency(problem.mapping, context)
-    if algorithm == prediction.algorithm:
-        reason = prediction.reason
-    else:
-        # the one static-dynamic divergence: a predicted-exact route
-        # (source expansion) overflowed its budget mid-run
-        reason = (
-            f"predicted {prediction.algorithm} exceeded its budget: "
-            "sound bounded refutation instead"
-        )
-    info.update(algorithm=algorithm, reason=reason)
-    return verdict
+    return decide_absolute_consistency(problem, context, info)
 
 
 def _solve_membership(
@@ -155,7 +108,7 @@ def _solve_membership(
 def _solve_composition_membership(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
-    from repro.analysis.fragment import predict_composition_membership
+    from repro.analysis.fragment import cell, predict_composition_membership
     from repro.composition.semantics import (
         composition_contains,
         composition_contains_exact,
@@ -163,23 +116,19 @@ def _solve_composition_membership(
     from repro.errors import NotInClassError
 
     prediction = predict_composition_membership(problem.m12, problem.m23)
-    if prediction.algorithm == "composition-exact":
+    if prediction.exact:
         try:
             verdict = composition_contains_exact(
                 problem.m12, problem.m23, problem.source_tree, problem.final_tree
             )
         except (NotInClassError, SignatureError):
-            # defensive: the executor found a class violation the static
-            # predicates missed — fall through to the bounded search
-            pass
+            # the composer's own restrictions (no '+' in the middle DTD,
+            # ...) reach past the Theorem 8.2 class: bounded search instead
+            prediction = cell("composition-bounded", prediction.fragment)
         else:
             info.update(algorithm=prediction.algorithm, reason=prediction.reason)
             return verdict
-    info.update(
-        algorithm="composition-bounded",
-        reason="outside the Theorem 8.2 class: bounded intermediate-tree "
-        "search with the finite value abstraction (Section 7.2)",
-    )
+    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
     return composition_contains(
         problem.m12,
         problem.m23,
@@ -209,25 +158,22 @@ def _solve_composition_consistency(
 def _solve_satisfiability(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
+    from repro.analysis.fragment import cell
     from repro.patterns.satisfiability import is_satisfiable
 
-    info.update(
-        algorithm="pattern-sat",
-        reason="closure-automaton reachability with tag lifting (Lemma 4.1)",
-    )
+    prediction = cell("pattern-sat", "patterns")
+    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
     return is_satisfiable(problem.dtd, problem.pattern, context)
 
 
 def _solve_separation(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
+    from repro.analysis.fragment import cell
     from repro.patterns.separation import separation_verdict
 
-    info.update(
-        algorithm="separation",
-        reason="joint closure automaton over P+ ∪ P-: conforming root state "
-        "containing P+ and avoiding P- (Section 9)",
-    )
+    prediction = cell("separation", "patterns")
+    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
     return separation_verdict(
         problem.dtd, problem.positives, problem.negatives, context
     )

@@ -12,8 +12,10 @@ from repro.engine.budget import Budget
 class SolveReport:
     """What ran, why, and what it cost.
 
-    ``algorithm`` names the procedure the Figure-1/2 routing selected,
-    ``reason`` the routing rationale (fragment facts), ``elapsed`` the
+    ``algorithm`` names the procedure the Figure-1/2 routing selected
+    (the cell :func:`repro.analysis.fragment.classify` predicts, unless
+    ``abscons-expansion`` overflowed into ``abscons-bounded``),
+    ``reason`` the routing rationale, ``elapsed`` the
     wall-clock seconds, ``expansions`` the charged search steps, and
     ``cache`` the hit/miss/eviction deltas of the compilation cache over
     this solve.  When the solve ran under a trace collector
@@ -22,7 +24,8 @@ class SolveReport:
     back from a ``solve_many`` worker process.
 
     ``diagnostics`` carries the static classifier's fragment-level
-    findings (:func:`repro.analysis.diagnostics_for_problem`):
+    findings (:func:`repro.analysis.diagnostics_for_problem`, read off
+    the same classification):
     immutable :class:`~repro.analysis.Diagnostic` tuples, picklable for
     the same worker round trip.
 

@@ -9,6 +9,11 @@ semantic ones.
 from __future__ import annotations
 
 
+#: The deepest nesting the pattern and regex parsers accept; deeper input
+#: is a :class:`ParseError`, not a RecursionError somewhere downstream.
+MAX_NESTING_DEPTH = 64
+
+
 class XsmError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 

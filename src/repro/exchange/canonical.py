@@ -91,11 +91,14 @@ class _NullUnifier:
 
 
 def _check_applicable(mapping: SchemaMapping) -> None:
-    if not mapping.is_fully_specified():
+    from repro.analysis.fragment import classify
+
+    facts = classify(mapping)
+    if not facts.fully_specified:
         raise SignatureError(
             "canonical solutions require fully-specified stds (grammar (5))"
         )
-    if not mapping.target_dtd.is_nested_relational():
+    if not facts.target.nested_relational:
         raise SignatureError("canonical solutions require a nested-relational target DTD")
     for std in mapping.stds:
         if std.target_conditions or std.source_conditions:

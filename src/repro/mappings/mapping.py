@@ -141,10 +141,9 @@ class SchemaMapping:
 
     def is_nested_relational(self) -> bool:
         """Both DTDs nested-relational (the tractable frontier of Fig. 1)."""
-        return (
-            self.source_dtd.is_nested_relational()
-            and self.target_dtd.is_nested_relational()
-        )
+        from repro.analysis.fragment import classify
+
+        return classify(self).nested_relational
 
     def is_fully_specified(self) -> bool:
         """All stds built from fully-specified patterns (grammar (5))."""

@@ -58,13 +58,16 @@ class SkolemMapping(SchemaMapping):
         Requirements: both DTDs strictly nested-relational, all stds
         fully specified, equality only (no inequalities).
         """
-        if not self.source_dtd.is_strictly_nested_relational():
+        from repro.analysis.fragment import classify
+
+        facts = classify(self)
+        if not facts.source.strictly_nested_relational:
             raise NotInClassError("source DTD is not strictly nested-relational")
-        if not self.target_dtd.is_strictly_nested_relational():
+        if not facts.target.strictly_nested_relational:
             raise NotInClassError("target DTD is not strictly nested-relational")
-        if not self.is_fully_specified():
+        if not facts.fully_specified:
             raise NotInClassError("stds must be fully specified (grammar (5))")
-        if INEQUALITY in self.signature().features:
+        if INEQUALITY in facts.signature.features:
             raise NotInClassError("inequalities are not allowed in the composable class")
 
 

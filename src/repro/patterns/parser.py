@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.errors import MAX_NESTING_DEPTH, ParseError
 from repro.patterns.ast import (
     WILDCARD,
     Descendant,
@@ -65,6 +65,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        #: nesting depth of the pattern node being parsed (root = 1)
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -81,15 +83,25 @@ class _Parser:
         if got != value:
             raise ParseError(f"expected {value!r}, got {got!r}", self.text, offset)
 
+    def check_depth(self, depth: int, offset: int) -> None:
+        if depth > MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"pattern nests deeper than {MAX_NESTING_DEPTH} levels",
+                self.text, offset,
+            )
+
     # path := node (('/' | '//') node)*
     def parse_path(self) -> Pattern:
+        outer = self.depth
         steps: list[tuple[str | None, Pattern]] = [(None, self.parse_node())]
         while True:
             token = self.peek()
             if token is None or token[1] not in ("/", "//"):
                 break
             __, separator, __ = self.next()
+            self.depth += 1  # each step nests one level below the last
             steps.append((separator, self.parse_node()))
+        self.depth = outer
         pattern = steps[-1][1]
         for index in range(len(steps) - 2, -1, -1):
             __, parent = steps[index]
@@ -104,6 +116,8 @@ class _Parser:
         kind, label, offset = self.next()
         if kind != "ident":
             raise ParseError(f"expected a label, got {label!r}", self.text, offset)
+        self.depth += 1
+        self.check_depth(self.depth, offset)
         vars_: tuple[Term, ...] | None = None
         items: list[ListItem] = []
         token = self.peek()
@@ -126,10 +140,12 @@ class _Parser:
                     self.next()
                     items.append(self.parse_item())
             self.expect("]")
+        self.depth -= 1
         return Pattern(label, vars_, tuple(items))
 
-    def parse_term(self) -> Term:
+    def parse_term(self, depth: int = 1) -> Term:
         kind, value, offset = self.next()
+        self.check_depth(depth, offset)
         if kind == "number":
             return Const(int(value))
         if kind == "string":
@@ -140,10 +156,10 @@ class _Parser:
                 self.next()
                 args: list[Term] = []
                 if self.peek() is not None and self.peek()[1] != ")":
-                    args.append(self.parse_term())
+                    args.append(self.parse_term(depth + 1))
                     while self.peek() is not None and self.peek()[1] == ",":
                         self.next()
-                        args.append(self.parse_term())
+                        args.append(self.parse_term(depth + 1))
                 self.expect(")")
                 return SkolemTerm(value, tuple(args))
             return Var(value)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.errors import MAX_NESTING_DEPTH, ParseError
 from repro.regex.ast import (
     EMPTY,
     EPSILON,
@@ -76,15 +76,26 @@ class _Parser:
         self.pos += 1
         return token
 
-    def parse_expr(self) -> Regex:
-        parts = [self.parse_seq()]
+    # Each parse_* returns the expression with its height (nesting levels,
+    # a symbol is 1); no height may exceed MAX_NESTING_DEPTH.
+    def check_height(self, height: int) -> int:
+        if height > MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"regex nests deeper than {MAX_NESTING_DEPTH} levels",
+                self.text, self.tokens[self.pos - 1][2],
+            )
+        return height
+
+    def parse_expr(self, depth: int = 0) -> tuple[Regex, int]:
+        parts = [self.parse_seq(depth)]
         while self.peek() is not None and self.peek()[1] == "|":
             self.next()
-            parts.append(self.parse_seq())
-        return union(parts)
+            parts.append(self.parse_seq(depth))
+        height = max(h for __, h in parts) + (len(parts) > 1)
+        return union([expr for expr, __ in parts]), self.check_height(height)
 
-    def parse_seq(self) -> Regex:
-        parts = [self.parse_item()]
+    def parse_seq(self, depth: int) -> tuple[Regex, int]:
+        parts = [self.parse_item(depth)]
         while True:
             token = self.peek()
             if token is None or token[1] in ")|":
@@ -95,35 +106,39 @@ class _Parser:
                 if token is None or token[1] in ")|,":
                     raise ParseError("dangling comma in regex", self.text,
                                      len(self.text) if token is None else token[2])
-            parts.append(self.parse_item())
-        return concat(parts)
+            parts.append(self.parse_item(depth))
+        height = max(h for __, h in parts) + (len(parts) > 1)
+        return concat([expr for expr, __ in parts]), self.check_height(height)
 
-    def parse_item(self) -> Regex:
-        expr = self.parse_atom()
+    def parse_item(self, depth: int) -> tuple[Regex, int]:
+        expr, height = self.parse_atom(depth)
         while self.peek() is not None and self.peek()[1] in "*+?":
             __, op, __ = self.next()
+            height = self.check_height(height + 1)
             if op == "*":
                 expr = Star(expr)
             elif op == "+":
                 expr = Plus(expr)
             else:
                 expr = Optional(expr)
-        return expr
+        return expr, height
 
-    def parse_atom(self) -> Regex:
+    def parse_atom(self, depth: int) -> tuple[Regex, int]:
         kind, value, offset = self.next()
         if value == "(":
-            expr = self.parse_expr()
+            # parenthesis levels bound the parser's own recursion
+            self.check_height(depth + 1)
+            result = self.parse_expr(depth + 1)
             kind, value, offset = self.next()
             if value != ")":
                 raise ParseError(f"expected ')', got {value!r}", self.text, offset)
-            return expr
+            return result
         if kind == "ident":
             if value == "eps":
-                return EPSILON
+                return EPSILON, 1
             if value == "empty":
-                return EMPTY
-            return Symbol(value)
+                return EMPTY, 1
+            return Symbol(value), 1
         raise ParseError(f"unexpected token {value!r} in regex", self.text, offset)
 
 
@@ -135,7 +150,7 @@ def parse_regex(text: str) -> Regex:
     if not text.strip():
         return EPSILON
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    expr, __ = parser.parse_expr()
     if parser.peek() is not None:
         __, value, offset = parser.peek()
         raise ParseError(f"trailing input {value!r} in regex", text, offset)

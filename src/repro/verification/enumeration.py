@@ -8,8 +8,10 @@ value domain, so callers keep both tiny; that is the point of an oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator
 
+from repro.regex.ast import Concat, Empty, Optional, Plus, Regex, Star, Symbol, Union
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 
@@ -95,6 +97,42 @@ def enumerate_trees(
             continue
         for assignment in itertools.product(domain, repeat=slots):
             yield _decorate(dtd, skeleton, list(reversed(assignment)))
+
+
+def max_tree_size(dtd: DTD) -> float:
+    """Nodes of the largest tree conforming to *dtd*: ``-inf`` when none
+    conforms, ``inf`` when they grow without bound (recursion counts as
+    unbounded even if its cycle has no finite tree, which only errs up)."""
+    memo: dict[str, float] = {}
+    active: set[str] = set()
+
+    def word(expr: Regex) -> float:
+        if isinstance(expr, Symbol):
+            return size(expr.symbol)
+        if isinstance(expr, Empty):
+            return -math.inf
+        if isinstance(expr, (Concat, Union)):
+            parts = [word(part) for part in expr.parts]
+            if isinstance(expr, Union):
+                return max(parts)
+            return -math.inf if -math.inf in parts else sum(parts)
+        if isinstance(expr, (Star, Plus, Optional)):
+            inner = word(expr.inner)
+            if inner > 0 and not isinstance(expr, Optional):
+                return math.inf  # repeats a non-empty word
+            return inner if isinstance(expr, Plus) else max(0, inner)
+        return 0  # epsilon
+
+    def size(label: str) -> float:
+        if label in active:
+            return math.inf
+        if label not in memo:
+            active.add(label)
+            memo[label] = 1 + word(dtd.productions[label])
+            active.discard(label)
+        return memo[label]
+
+    return size(dtd.root)
 
 
 def count_trees(dtd: DTD, max_size: int, domain: Iterable[object] = (0, 1)) -> int:

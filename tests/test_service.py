@@ -41,12 +41,29 @@ target:
 std: f[a(x)] -> w[b(x)]
 """
 
-#: A std pattern nested 2000 deep: parsing it overflows the interpreter
-#: stack, the shape of failure no XsmError covers.
+#: A std pattern nested 2000 deep: the parsers refuse it with a
+#: ParseError instead of overflowing the interpreter stack.
 DEEP_MAPPING_TEXT = (
     "source:\n    r -> a*\n    a -> a*\ntarget:\n    t -> b*\n"
     "std: r" + "[a" * 2000 + "]" * 2000 + " -> t[b]\n"
 )
+
+#: The text the ``runaway_parser`` fixture's mapping parser recurses on
+#: without bound: a RecursionError, the shape of failure no XsmError
+#: covers.
+RUNAWAY_TEXT = "runaway"
+
+
+@pytest.fixture
+def runaway_parser(monkeypatch):
+    import repro.mappings.io as mapping_io
+
+    real_parse = mapping_io.parse_mapping
+
+    def parse(text):
+        return parse(text) if text == RUNAWAY_TEXT else real_parse(text)
+
+    monkeypatch.setattr(mapping_io, "parse_mapping", parse)
 
 
 def _requests_total(command: str, outcome: str) -> float:
@@ -92,10 +109,12 @@ class TestEngineSession:
         assert response["exit_code"] == 3
         assert response["error"]["type"] == "ParseError"
 
-    def test_unexpected_exception_is_an_internal_error_envelope(self):
+    def test_unexpected_exception_is_an_internal_error_envelope(
+        self, runaway_parser
+    ):
         session = EngineSession()
         errors_before = _requests_total("check", "error")
-        response = session.check({"mappings": [DEEP_MAPPING_TEXT]})
+        response = session.check({"mappings": [RUNAWAY_TEXT]})
         assert response["ok"] is False
         assert response["exit_code"] == 3
         error = response["error"]
@@ -281,11 +300,11 @@ class TestServiceServer:
         response = call_service(server.url, "check", {})
         assert response["error"]["type"] == "RequestError"
 
-    def test_internal_error_maps_to_500(self, server):
+    def test_internal_error_maps_to_500(self, server, runaway_parser):
         import urllib.error
         import urllib.request
 
-        body = json.dumps({"mappings": [DEEP_MAPPING_TEXT]}).encode()
+        body = json.dumps({"mappings": [RUNAWAY_TEXT]}).encode()
         request = urllib.request.Request(f"{server.url}/check", data=body)
         with pytest.raises(urllib.error.HTTPError) as raised:
             urllib.request.urlopen(request, timeout=30.0)
